@@ -3,7 +3,7 @@
 The network is z = act(sqrt(sigma_w_sq/n) W z + sigma_u U x + sigma_b b)
 with readout sqrt(sigma_v_sq/n) v.z.  Weights are stored as raw standard
 normals; variance scalings are applied at use-sites.  Forward passes solve
-the fixed point by damped iteration, gradients come from the implicit
+the fixed point by plain iteration, gradients come from the implicit
 function theorem, and the linear-activation case additionally exposes the
 exact resolvent quantities used by the random-matrix experiments.
 
@@ -101,20 +101,21 @@ def deq_forward(
     x: np.ndarray,
     tol: float = 1e-10,
     max_iter: int = 10000,
-    damping: float = 1.0,
 ) -> EquilibriumState:
-    """Solve the forward fixed point by (optionally damped) iteration."""
+    """Solve the forward fixed point by plain iteration.
+
+    The map value act(A z + inj) that measures an iterate's residual is the
+    next iterate, so each iteration costs one matvec.
+    """
     act, _ = _act_pair(weights.params)
     A = np.sqrt(weights.params.sigma_w_sq / weights.n) * weights.W
     inj = _injection(weights, x)
-    z = np.zeros(weights.n)
+    mapped = act(A @ np.zeros(weights.n) + inj)
+    residual = np.inf
     for it in range(1, max_iter + 1):
-        z_new = act(A @ z + inj)
-        step = z_new if damping == 1.0 else (1 - damping) * z + damping * z_new
-        residual = np.linalg.norm(act(A @ step + inj) - step) / (
-            1.0 + np.linalg.norm(step)
-        )
-        z = step
+        z = mapped
+        mapped = act(A @ z + inj)
+        residual = np.linalg.norm(mapped - z) / (1.0 + np.linalg.norm(z))
         if residual <= tol:
             return EquilibriumState(z_star=z, residual=float(residual), iterations=it)
     raise ConvergenceError(

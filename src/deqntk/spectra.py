@@ -2,29 +2,45 @@
 
 The matrix of interest is (I - sqrt(s/n) W)^T (I - sqrt(s/n) W) for an
 i.i.d. standard Gaussian W and s = sigma_w_sq.  Its limiting eigenvalue
-distribution mu has a Stieltjes transform g solving the implicit equation
+distribution mu has a Stieltjes transform g(z) = integral of
+dmu(x)/(z - x) solving the implicit equation
 
-    1/g = (1 - s*g) * z - 1/(1 - s*g),   z in the upper half plane,
+    1/g = (1 - s*g) * z - 1/(1 - s*g),
 
-which after clearing denominators is a cubic in g.  This g is the
-resolvent-trace convention g(z) = integral of dmu(x)/(z - x): it behaves
-like 1/z at infinity and has Im g <= 0 in the upper half plane, so the
-density is recovered as -Im g / pi on a shrinking line above the real
-axis.  The integral of 1/lambda against mu equals 1/(1-s).
+which after clearing denominators is the cubic
+
+    s^2 z g^3 - 2 s z g^2 + (z + s - 1) g - 1 = 0.
+
+Everything here is in closed form on the real axis (Bai & Silverstein,
+*Spectral Analysis of Large Dimensional Random Matrices*, 2010):
+
+* For real lambda > 0 the cubic has real coefficients.  Inside the support
+  two of its roots are a conjugate pair, g is the member with Im g < 0, and
+  the density is -Im g / pi.  Outside the support all three roots are real
+  and the density is 0.  The roots of all points come from one batched
+  eigenvalue call on companion matrices.
+* The support edges are where the cubic's discriminant vanishes, which
+  reduces to the quadratic 4 lambda^2 - B lambda + 4 (1-s)^3 = 0 with
+  B = 27 s^2 + 36 s (1-s) + 8 (1-s)^2.  At s = 0 both edges are 1: the
+  distribution is a point mass.
+
+The integral of 1/lambda against mu equals 1/(1-s).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
 
 from .errors import ConvergenceError, DomainError
 
-_IMPLICIT_RESIDUAL_TOL = 1e-10
-#: Density below this value counts as "outside the support".
-_DENSITY_FLOOR = 1e-9
+#: Bound on the normalized implicit-equation residual of a selected root.
+#: Roots themselves reach ~1e-14; evaluating the residual cancels terms of
+#: size 1 down to the support width ~4 sqrt(s), which costs up to 3e-10 at
+#: s ~ 1e-12, while a wrong root misses by 1e-3 or more.
+_IMPLICIT_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,129 +62,92 @@ class SpectralDensitySamples:
         return np.interp(points, lam, cum / total, left=0.0, right=1.0)
 
 
-def _cubic_roots(z: complex, sigma_w_sq: float) -> np.ndarray:
-    """Roots of the cleared-denominator cubic
-    s^2 z g^3 - 2 s z g^2 + (z + s - 1) g - 1 = 0."""
-    s = sigma_w_sq
-    if s == 0.0:
-        return np.array([1.0 / (z - 1.0)])
-    coeffs = [s * s * z, -2.0 * s * z, z + s - 1.0, -1.0]
-    return np.roots(coeffs)
-
-
-#: Height at which g is close enough to 1/z to identify the branch.
-_TRACK_START = 64.0
-
-
-def stieltjes_root(z: complex, sigma_w_sq: float) -> complex:
-    """The transform branch of the cubic at z (Im z > 0).
-
-    The cubic has spurious companion roots (a near-conjugate pair inside
-    the support, extra real roots outside it), so sign inspection alone
-    cannot select the branch.  It is identified high in the upper half
-    plane, where g ~ 1/z, and followed down to z by nearest-root
-    continuation with adaptive steps near root collisions.
-    """
-    if z.imag <= 0:
-        raise DomainError("z must lie in the upper half plane")
-    if sigma_w_sq == 0.0:
-        return 1.0 / (z - 1.0)
-
-    height = max(_TRACK_START, 2.0 * z.imag)
-    g = min(
-        _cubic_roots(complex(z.real, height), sigma_w_sq),
-        key=lambda r: abs(r - 1.0 / complex(z.real, height)),
-    )
-    b = height
-    while b > z.imag:
-        b_next = max(0.5 * b, z.imag)
-        # near a branch point two roots nearly collide; shrink the step
-        # until the nearest root is unambiguous (or the step is tiny)
-        while True:
-            roots = _cubic_roots(complex(z.real, b_next), sigma_w_sq)
-            dist = sorted(abs(r - g) for r in roots)
-            if dist[1] > 3.0 * dist[0] or (b - b_next) < 1e-3 * b:
-                break
-            b_next = 0.5 * (b + b_next)
-        g = min(roots, key=lambda r: abs(r - g))
-        b = b_next
-    # In this convention Im g <= 0 strictly above the real axis; noise of
-    # the order of Im z is tolerated, anything clearly positive means the
-    # tracking jumped to the conjugate branch.
-    if g.imag > 1e-3 * (1.0 + abs(g)) or (
-        _implicit_residual(g, z, sigma_w_sq) > _IMPLICIT_RESIDUAL_TOL
-    ):
-        raise ConvergenceError(
-            f"branch tracking failed at z={z} (candidate {g})"
-        )
-    return complex(g)
-
-
-def _implicit_residual(g: complex, z: complex, sigma_w_sq: float) -> float:
-    d = 1.0 - sigma_w_sq * g
-    if g == 0 or d == 0:
-        return np.inf
-    return abs(1.0 / g - (d * z - 1.0 / d))
-
-
-def density(lam: float, sigma_w_sq: float, b_eps: float = 1e-8) -> float:
-    """Spectral density at ``lam`` via the Stieltjes inversion formula.
-
-    -Im g is evaluated at heights b_eps and b_eps/2 and extrapolated
-    linearly to the real axis, which cancels the O(b) bias of the limit.
-    """
-    p1 = -stieltjes_root(complex(lam, b_eps), sigma_w_sq).imag / np.pi
-    p2 = -stieltjes_root(complex(lam, b_eps / 2), sigma_w_sq).imag / np.pi
-    return max(2.0 * p2 - p1, 0.0)
-
-
-@lru_cache(maxsize=64)
-def support_endpoints(sigma_w_sq: float) -> tuple[float, float]:
-    """Support interval of the limiting density, located numerically.
-
-    Scans for positive density and bisects the two edges; for s = 0 the
-    distribution is a point mass at 1.  Cached: every quadrature over the
-    support re-asks for the same interval.
-    """
+def _check_variance(sigma_w_sq: float) -> None:
     if not 0.0 <= sigma_w_sq < 1.0:
         raise DomainError("sigma_w_sq must lie in [0, 1)")
-    if sigma_w_sq == 0.0:
-        return (1.0, 1.0)
 
-    lo, hi = 1e-4, 16.0
-    grid = np.linspace(lo, hi, 801)
-    dens = np.array([density(x, sigma_w_sq) for x in grid])
-    inside = np.nonzero(dens > _DENSITY_FLOOR)[0]
-    if inside.size == 0:
-        raise ConvergenceError("no support found on the scan grid")
 
-    def bisect(outside, within):
-        for _ in range(60):
-            mid = 0.5 * (outside + within)
-            if density(mid, sigma_w_sq) > _DENSITY_FLOOR:
-                within = mid
-            else:
-                outside = mid
-            if abs(within - outside) < 1e-12:
-                break
-        return 0.5 * (outside + within)
+def _implicit_residual(g, lam, sigma_w_sq: float):
+    """|1 - g ((1 - s g) lambda - 1/(1 - s g))|: the implicit equation
+    multiplied through by g, so that its scale is 1 whatever the size of g."""
+    d = 1.0 - sigma_w_sq * g
+    return np.abs(1.0 - g * (d * lam - 1.0 / d))
 
-    first, last = inside[0], inside[-1]
-    left_out = grid[first - 1] if first > 0 else lo
-    right_out = grid[last + 1] if last < grid.size - 1 else hi
-    l = bisect(left_out, grid[first])
-    u = bisect(right_out, grid[last])
-    return (l, u)
+
+def _transform_root(lam: np.ndarray, sigma_w_sq: float) -> np.ndarray:
+    """The Stieltjes transform g on the real axis at each lambda > 0.
+
+    The roots are taken as h = 1/g, the eigenvalues of the companion
+    matrices of the monic h^3 - (lambda+s-1) h^2 + 2 s lambda h - s^2 lambda,
+    whose coefficients stay bounded as lambda -> 0 and at s = 0.  Inside the
+    support g is the pair member with Im g < 0 (Im h > 0).  Outside it g is
+    the real root of least magnitude: that root tends to 1/lambda at
+    infinity and meets the pair at the edges.  At s = 0 this gives the
+    closed form g = 1/(lambda - 1).
+    """
+    s = sigma_w_sq
+    companion = np.zeros(lam.shape + (3, 3))
+    companion[..., 0, :] = np.stack(
+        [lam + s - 1.0, -2.0 * s * lam, s * s * lam], axis=-1
+    )
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    h = np.linalg.eigvals(companion)
+    pick = np.where(
+        h.imag.max(axis=-1) > 0, h.imag.argmax(axis=-1), np.abs(h).argmax(axis=-1)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = 1.0 / np.take_along_axis(h, pick[..., None], axis=-1)[..., 0]
+        residual = _implicit_residual(g, lam, s)
+    bad = np.flatnonzero(~(residual <= _IMPLICIT_RESIDUAL_TOL))
+    if bad.size:
+        i = bad[0]
+        raise ConvergenceError(
+            f"cubic root at lambda={lam.flat[i]!r}, sigma_w_sq={s!r} misses the "
+            f"implicit equation (residual {residual.flat[i]:.3e})"
+        )
+    return g
+
+
+def density(lam, sigma_w_sq: float):
+    """Limiting density at ``lam``, a scalar or an array of any shape.
+
+    It is -Im g / pi of the transform root, hence 0 where all three roots
+    are real (outside the support), for lambda <= 0, and at s = 0, where
+    the distribution is a point mass with no density.
+    """
+    _check_variance(sigma_w_sq)
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise DomainError("lambda must be finite")
+    out = np.zeros(lam.shape)
+    positive = lam > 0
+    if sigma_w_sq > 0 and positive.any():
+        g = _transform_root(lam[positive], sigma_w_sq)
+        out[positive] = np.abs(g.imag) / np.pi
+    return out if out.ndim else float(out)
+
+
+def support_endpoints(sigma_w_sq: float) -> tuple[float, float]:
+    """Support interval (lambda_-, lambda_+) of the limiting density.
+
+    lambda_+ = (B + sqrt(B^2 - 64 (1-s)^3)) / 8, and lambda_- is the other
+    root of the edge quadratic, taken as (1-s)^3 / lambda_+ (the product of
+    the roots) to avoid the cancellation in (B - sqrt(...)) / 8 as s -> 1.
+    """
+    _check_variance(sigma_w_sq)
+    s = sigma_w_sq
+    b = 27.0 * s * s + 36.0 * s * (1.0 - s) + 8.0 * (1.0 - s) ** 2
+    upper = (b + math.sqrt(b * b - 64.0 * (1.0 - s) ** 3)) / 8.0
+    return ((1.0 - s) ** 3 / upper, upper)
 
 
 def density_table(
     sigma_w_sq: float, num: int = 1200, endpoint_offset: float = 1e-6
 ) -> SpectralDensitySamples:
-    """Tabulate the density on a grid spanning the detected support."""
+    """Tabulate the density on a grid spanning the support."""
     l, u = support_endpoints(sigma_w_sq)
     lam = np.linspace(l + endpoint_offset, u - endpoint_offset, num)
-    den = np.array([density(x, sigma_w_sq) for x in lam])
-    grid = np.column_stack([lam, den])
+    grid = np.column_stack([lam, density(lam, sigma_w_sq)])
     return SpectralDensitySamples(sigma_w_sq=sigma_w_sq, support=(l, u), grid=grid)
 
 
@@ -190,20 +169,6 @@ def integrate_inverse_eig(sigma_w_sq: float) -> float:
     )
     if err > 1e-4:
         raise ConvergenceError(f"quadrature error estimate {err} too large")
-    return float(val)
-
-
-def integrate_density(sigma_w_sq: float) -> float:
-    """Total mass of the tabulated density (normalization check)."""
-    l, u = support_endpoints(sigma_w_sq)
-    val, _ = integrate.quad(
-        lambda x: density(x, sigma_w_sq),
-        l + 1e-6,
-        u - 1e-6,
-        limit=200,
-        epsabs=1e-9,
-        epsrel=1e-9,
-    )
     return float(val)
 
 

@@ -69,8 +69,9 @@ class TestForward:
     def test_nonconvergence_raises(self):
         big = KernelParams(sigma_w_sq=0.125, sigma_u_sq=0.875)
         w = make_weights(32, 4, seed=0, params=big)
-        with pytest.raises(ConvergenceError):
-            deq_forward(w, unit_vec(4, 0), tol=1e-10, max_iter=2)
+        for max_iter in (2, 0):
+            with pytest.raises(ConvergenceError):
+                deq_forward(w, unit_vec(4, 0), tol=1e-10, max_iter=max_iter)
 
 
 class TestImplicitGradients:

@@ -1,42 +1,35 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from deqntk import DomainError
 from deqntk.spectra import (
     density,
     density_table,
-    integrate_density,
     integrate_inverse_eig,
-    stieltjes_root,
     support_endpoints,
     write_density_csv,
     _implicit_residual,
+    _transform_root,
 )
 
 
 class TestStieltjesRoot:
     def test_zero_variance_closed_form(self):
-        for z in (complex(2.0, 1e-6), complex(0.5, 1e-3), complex(-1.0, 0.1)):
-            assert abs(stieltjes_root(z, 0.0) - 1.0 / (z - 1.0)) <= 1e-12
+        lam = np.array([0.25, 0.5, 2.0, 7.0])
+        assert np.allclose(_transform_root(lam, 0.0), 1.0 / (lam - 1.0),
+                           rtol=1e-12, atol=0.0)
 
-    @given(
-        st.floats(0.05, 0.85),
-        st.floats(0.05, 8.0),
-        st.floats(1e-6, 0.5),
-    )
+    @given(st.floats(0.05, 0.99), st.floats(1e-3, 1.0 - 1e-3))
     @settings(max_examples=80, deadline=None)
-    def test_solves_implicit_equation(self, s, re, im):
-        z = complex(re, im)
-        g = stieltjes_root(z, s)
-        assert _implicit_residual(g, z, s) <= 1e-10
-        # resolvent-trace convention: nonpositive imaginary part (up to
-        # root-finder noise of the order of Im z)
-        assert g.imag <= 1e-6 * (1.0 + abs(g))
-
-    def test_rejects_lower_half_plane(self):
-        with pytest.raises(DomainError):
-            stieltjes_root(complex(1.0, -1e-3), 0.5)
+    def test_solves_implicit_equation(self, s, frac):
+        lo, hi = support_endpoints(s)
+        lam = np.array([lo + frac * (hi - lo)])
+        g = _transform_root(lam, s)
+        assert _implicit_residual(g, lam, s)[0] <= 1e-10
+        # resolvent-trace convention: inside the support Im g < 0
+        assert g[0].imag < 0.0
 
 
 class TestDensity:
@@ -47,9 +40,21 @@ class TestDensity:
         assert density(lo - 0.5, 0.5) <= 1e-8
         assert density(hi + 0.5, 0.5) <= 1e-8
 
+    @given(st.floats(0.05, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_edges_bound_the_density(self, s):
+        lo, hi = support_endpoints(s)
+        outside = density(np.array([lo * (1 - 1e-6), hi * (1 + 1e-6)]), s)
+        inside = density(np.array([lo * (1 + 1e-4), hi * (1 - 1e-4)]), s)
+        assert np.all(outside == 0.0)
+        assert np.all(inside > 0.0)
+
     def test_mass_normalizes(self):
         for s in (0.25, 0.5, 0.75):
-            assert abs(integrate_density(s) - 1.0) <= 2e-3
+            lo, hi = support_endpoints(s)
+            mass, _ = integrate.quad(lambda x: density(x, s), lo + 1e-6, hi - 1e-6,
+                                     limit=200, epsabs=1e-9, epsrel=1e-9)
+            assert abs(mass - 1.0) <= 2e-3
 
     def test_inverse_moment_closed_form(self):
         for s in (0.1, 0.25, 0.5, 0.75):
@@ -66,12 +71,17 @@ class TestDensity:
     def test_point_mass_at_zero_variance(self):
         assert support_endpoints(0.0) == (1.0, 1.0)
         assert integrate_inverse_eig(0.0) == 1.0
+        assert np.all(density(np.array([0.5, 1.0, 2.0]), 0.0) == 0.0)
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             support_endpoints(1.0)
         with pytest.raises(DomainError):
             integrate_inverse_eig(0.95)
+        with pytest.raises(DomainError):
+            density(1.0, 1.0)
+        with pytest.raises(DomainError):
+            density(np.array([1.0, np.nan]), 0.5)
 
 
 class TestTable:
