@@ -384,7 +384,7 @@ def spectrum(config, sw2, n, seed, out):
     write_rows_csv(rows, outdir / "empirical_spectrum.csv", ["index", "eigenvalue"])
     write_density_csv(table, outdir / "limiting_density.csv")
 
-    emp_cdf_at = (np.arange(1, n + 1)) / n
+    emp_cdf_at = np.searchsorted(eigs, eigs, side="right") / n
     limit_cdf_at = table.cdf(eigs)
     sup_dist = float(np.max(np.abs(emp_cdf_at - limit_cdf_at)))
     click.echo(f"CDF sup-distance = {sup_dist:.4f}")

@@ -4,9 +4,12 @@ Kernel state for a pair of P x Q images is a 4-way tensor indexed by two
 pixel positions.  One covariance update applies the scalar dual-activation
 map entrywise, sums matched-offset entries over the q x q convolution
 windows (the patch-trace operator) and renormalizes by the corner-aware
-pixel counts so that the self-covariance diagonal stays exactly 1.  The
-kernel tensor then solves an affine fixed point and the scalar kernel value
-is its trace.
+pixel counts.  For unit pixels the renormalization keeps every pixel's
+self-covariance equal to one scalar d, which follows d <- sigma_w_sq * d +
+sigma_u_sq whatever the images (d = 1 under the unit-sum initialization),
+so only the cross tensor of a pair is iterated.  The kernel tensor then
+solves an affine fixed point and the scalar kernel value is its trace.
+The kernel has no bias term.
 """
 from __future__ import annotations
 
@@ -75,33 +78,23 @@ def validate_unit_pixels(x: np.ndarray) -> None:
 def cdeq_k_step(
     Sigma_prev: np.ndarray,
     K0: np.ndarray,
-    norm: ConvNormalizer,
     params: KernelParams,
-    diag_x: np.ndarray | None = None,
-    diag_y: np.ndarray | None = None,
+    diag: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise dual-activation update of the covariance tensor.
 
     Returns (K, Kdot) where K feeds the patch trace of the next covariance
     and Kdot is the derivative multiplier of the kernel fixed point.
-    ``diag_x``/``diag_y`` are the self-covariance diagonals of the two
-    companion tensors (all ones under the unit-sum initialization).
+    ``diag`` is the self-covariance shared by every pixel of both images.
     """
-    P, Q = Sigma_prev.shape[0], Sigma_prev.shape[1]
-    if diag_x is None:
-        diag_x = np.ones((P, Q))
-    if diag_y is None:
-        diag_y = np.ones((P, Q))
-    ab = diag_x[:, :, None, None] * diag_y[None, None, :, :]
-    root = np.sqrt(ab)
-    ratio = Sigma_prev / root
+    ratio = Sigma_prev / diag
     if np.any(np.abs(ratio) > 1.0 + _PSD_TOL):
         raise DomainError(
             "covariance tensor is not PSD within tolerance (upstream bug)"
         )
     rho = np.clip(ratio, -1.0, 1.0)
     act = params.activation
-    K = params.sigma_w_sq * root * _k1(rho, act) + params.sigma_u_sq * K0
+    K = params.sigma_w_sq * diag * _k1(rho, act) + params.sigma_u_sq * K0
     Kdot = params.sigma_w_sq * _k0(rho, act)
     return K, Kdot
 
@@ -124,43 +117,39 @@ def cdeq_sigma_fixed_point(
     tol: float = 1e-6,
     max_iter: int = 30,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Iterate the covariance tensors of (x,x), (y,y), (x,y) to their joint
-    fixed point; returns the limiting (K*, Kdot*) of the cross pair.
+    """Iterate the (x, y) covariance tensor to its fixed point; returns the
+    limiting (K*, Kdot*).
 
-    Convergence is declared when the cross covariance moves by at most
-    ``tol`` in the entrywise max norm.
+    The self-covariance diagonal d starts at 1 and follows d <- sigma_w_sq
+    * d + sigma_u_sq alongside the tensor.  Convergence is declared when the
+    tensor moves by at most ``tol`` in the entrywise max norm and d by at
+    most ``tol``.
     """
     params.require_contraction()
+    if params.sigma_b_sq != 0.0:
+        raise DomainError(
+            f"sigma_b_sq={params.sigma_b_sq}: the convolutional kernel has no "
+            "bias term; set sigma_b_sq to 0"
+        )
     validate_unit_pixels(x)
     validate_unit_pixels(y)
-    P, Q = x.shape[0], x.shape[1]
-    norm = build_normalizer(P, Q, q)
+    norm = build_normalizer(x.shape[0], x.shape[1], q)
+    sw2, su2 = params.sigma_w_sq, params.sigma_u_sq
 
-    K0 = {
-        "xx": pixel_inner_tensor(x, x),
-        "yy": pixel_inner_tensor(y, y),
-        "xy": pixel_inner_tensor(x, y),
-    }
-    sigma = {key: _sigma_update(K0[key], norm) for key in K0}
+    K0 = pixel_inner_tensor(x, y)
+    sigma = _sigma_update(K0, norm)
+    d = 1.0
     for _ in range(max_iter):
-        dx = _tensor_diag(sigma["xx"])
-        dy = _tensor_diag(sigma["yy"])
-        diags = {"xx": (dx, dx), "yy": (dy, dy), "xy": (dx, dy)}
-        new_sigma = {}
-        for key in K0:
-            K, _ = cdeq_k_step(sigma[key], K0[key], norm, params, *diags[key])
-            new_sigma[key] = _sigma_update(K, norm)
-        delta = max(
-            float(np.max(np.abs(new_sigma[k] - sigma[k]))) for k in K0
-        )
-        sigma = new_sigma
+        K, _ = cdeq_k_step(sigma, K0, params, d)
+        new_sigma = _sigma_update(K, norm)
+        new_d = sw2 * d + su2
+        delta = max(float(np.max(np.abs(new_sigma - sigma))), abs(new_d - d))
+        sigma, d = new_sigma, new_d
         if delta <= tol:
-            dx = _tensor_diag(sigma["xx"])
-            dy = _tensor_diag(sigma["yy"])
-            _, Kdot = cdeq_k_step(sigma["xy"], K0["xy"], norm, params, dx, dy)
-            return sigma["xy"], Kdot
+            _, Kdot = cdeq_k_step(sigma, K0, params, d)
+            return sigma, Kdot
     raise ConvergenceError(
-        f"covariance tensors did not converge to {tol} in {max_iter} iterations"
+        f"covariance tensor did not converge to {tol} in {max_iter} iterations"
     )
 
 
@@ -180,24 +169,6 @@ def cdeq_theta(
             return float(np.sum(_tensor_diag(theta_new)))
         theta = theta_new
     raise ConvergenceError("kernel fixed point did not converge")
-
-
-def cdeq_theta_direct(
-    Kstar: np.ndarray, Kdotstar: np.ndarray, norm: ConvNormalizer
-) -> float:
-    """Dense direct solve of the affine system; oracle for tiny images."""
-    P, Q = Kstar.shape[0], Kstar.shape[1]
-    size = (P * Q) ** 2
-    if size > 4096:
-        raise ValueError("direct solve is intended for tiny images only")
-    basis = np.eye(size)
-    columns = np.empty((size, size))
-    for j in range(size):
-        E = basis[:, j].reshape(P, Q, P, Q)
-        columns[:, j] = (Kdotstar * _sigma_update(E, norm)).ravel()
-    A = np.eye(size) - columns
-    theta = np.linalg.solve(A, Kstar.ravel()).reshape(P, Q, P, Q)
-    return float(np.sum(_tensor_diag(theta)))
 
 
 def cdeq_kernel_pair(

@@ -43,13 +43,19 @@ class GramMatrix:
     depth: int | None = None
 
 
-def _dot_matrix(features: np.ndarray) -> np.ndarray:
-    dots = np.clip(features @ features.T, -1.0, 1.0)
-    # Rows are validated unit-norm; the self inner product is 1 by
-    # definition and the kernel has a square-root cusp there, so rounding
-    # noise in the BLAS product must not leak through.
-    np.fill_diagonal(dots, 1.0)
-    return dots
+def _dot_matrix(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """Inner products of the unit-norm ``rows`` with ``cols``, clipped to
+    [-1, 1]; without ``cols``, the self Gram of ``rows``."""
+    _check_unit_rows(rows)
+    if cols is None:
+        dots = np.clip(rows @ rows.T, -1.0, 1.0)
+        # The self inner product is 1 by definition and the kernel has a
+        # square-root cusp there, so rounding noise in the BLAS product must
+        # not leak through.
+        np.fill_diagonal(dots, 1.0)
+        return dots
+    _check_unit_rows(cols)
+    return np.clip(rows @ cols.T, -1.0, 1.0)
 
 
 def kernel_from_dots(
@@ -73,7 +79,7 @@ def kernel_from_dots(
 
 
 def _check_unit_rows(features: np.ndarray) -> None:
-    norms = np.linalg.norm(features, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", features, features))
     if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
         raise DomainError("dense kernels require unit-normalized samples")
 
@@ -116,7 +122,6 @@ def assemble_gram(
             values[i, j] = val
             values[j, i] = val
     else:
-        _check_unit_rows(features)
         values = kernel_from_dots(_dot_matrix(features), kernel_tag, params, depth)
         values = 0.5 * (values + values.T)
     return GramMatrix(values=values, kernel_tag=kernel_tag, params=params, depth=depth)
@@ -137,9 +142,7 @@ def cross_gram(
             for j, y in enumerate(train_features):
                 out[i, j] = cdeq_kernel_pair(x, y, filter_size, params)
         return out
-    _check_unit_rows(test_features)
-    _check_unit_rows(train_features)
-    dots = np.clip(test_features @ train_features.T, -1.0, 1.0)
+    dots = _dot_matrix(test_features, train_features)
     return kernel_from_dots(dots, kernel_tag, params, depth)
 
 
@@ -231,7 +234,7 @@ def depth_sweep(
     for rep in range(reps):
         tr, te = _split(rng, features.shape[0], n_train, n_test)
         dots_tr = _dot_matrix(features[tr])
-        dots_te = np.clip(features[te] @ features[tr].T, -1.0, 1.0)
+        dots_te = _dot_matrix(features[te], features[tr])
         for tag, params in ((FINITE_DEPTH_NTK, params_deq), (VANILLA_NTK, params_vanilla)):
             for d in depths:
                 K = kernel_from_dots(dots_tr, tag, params, d)

@@ -1,10 +1,16 @@
-"""Scalar kernel mathematics for input-injected infinite-width networks.
+"""Kernel mathematics for input-injected infinite-width networks.
 
 Everything here reduces to one-dimensional recursions in the pairwise inner
 product x.y: closed-form Gaussian dual activations, the covariance update
 map, the finite-depth tangent-kernel recursion and its depth limit obtained
-by root-finding.  All functions are pure and accept either scalars or numpy
-arrays of inner products; scalar in, scalar out.
+by root-finding.  For unit-norm inputs the self-covariance of every input
+follows one scalar affine map, d <- sigma_w_sq * d + sigma_u_sq +
+sigma_b_sq, so only the cross covariance is an array and the depth limit of
+the diagonal is closed-form.
+
+Each quantity has one array implementation; a scalar call runs it on one
+element.  All functions are pure and accept either scalars or numpy arrays
+of inner products; scalar in, scalar out.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularityError
-from .params import LINEAR, KernelParams
+from .params import LINEAR, NORMALIZED_RELU, KernelParams
 
 #: Inputs this close to +-1 are treated as rounding noise and clamped.
 BOUNDARY_SLACK = 1e-12
@@ -58,24 +64,6 @@ def _maybe_scalar(value, template):
     return float(value) if np.isscalar(template) else value
 
 
-def dual_activation(rho):
-    """E[sigma(u) sigma(v)] for the normalized ReLU at correlation ``rho``.
-
-    (u, v) are jointly standard normal with correlation rho; the closed form
-    is (sqrt(1 - rho^2) + (pi - arccos(rho)) * rho) / pi.
-    """
-    r = _as_correlation(rho)
-    val = (np.sqrt(1.0 - r * r) + (np.pi - np.arccos(r)) * r) / np.pi
-    return _maybe_scalar(val, rho)
-
-
-def dual_activation_dot(rho):
-    """E[sigma'(u) sigma'(v)] for the normalized ReLU: (pi - arccos(rho)) / pi."""
-    r = _as_correlation(rho)
-    val = (np.pi - np.arccos(r)) / np.pi
-    return _maybe_scalar(val, rho)
-
-
 def _k1(rho, activation):
     """Dual activation at unit marginals, dispatched on the activation tag."""
     if activation == LINEAR:
@@ -93,16 +81,18 @@ def _k0(rho, activation):
     return (np.pi - np.arccos(r)) / np.pi
 
 
-def r_sigma(rho, dot, params: KernelParams):
-    """One application of the covariance map:
-    sigma_w_sq * dual(rho) + sigma_u_sq * (x.y) + sigma_b_sq."""
-    r = _as_correlation(rho)
-    val = (
-        params.sigma_w_sq * _k1(r, params.activation)
-        + params.sigma_u_sq * np.asarray(dot, dtype=float)
-        + params.sigma_b_sq
-    )
-    return _maybe_scalar(val, rho)
+def dual_activation(rho):
+    """E[sigma(u) sigma(v)] for the normalized ReLU at correlation ``rho``.
+
+    (u, v) are jointly standard normal with correlation rho; the closed form
+    is (sqrt(1 - rho^2) + (pi - arccos(rho)) * rho) / pi.
+    """
+    return _maybe_scalar(_k1(_as_correlation(rho), NORMALIZED_RELU), rho)
+
+
+def dual_activation_dot(rho):
+    """E[sigma'(u) sigma'(v)] for the normalized ReLU: (pi - arccos(rho)) / pi."""
+    return _maybe_scalar(_k0(_as_correlation(rho), NORMALIZED_RELU), rho)
 
 
 def _diag_fixed_point(params: KernelParams) -> float:
@@ -115,13 +105,19 @@ def _diag_fixed_point(params: KernelParams) -> float:
     return (params.sigma_u_sq + params.sigma_b_sq) / (1.0 - params.sigma_w_sq)
 
 
-def _interior_recursion(dot, d, params: KernelParams):
-    """Run d layers of the covariance/kernel recursion.
+def _finite_depth(dot, d, params: KernelParams):
+    """Run d interior layers of the covariance/kernel recursion and the
+    readout layer, vectorized over ``dot``.
 
-    Returns (diag, cov, sigma_dot, theta) where ``diag`` is the common
-    self-covariance of both inputs (scalar), and the rest are arrays shaped
-    like ``dot``.
+    Returns (rho, sigma_dot, theta, out): the correlation entering the
+    readout, the last interior derivative covariance, the interior kernel
+    and the kernel with the readout layer (sigma_v_sq times the dual
+    activations).  The common self-covariance ``diag`` of both inputs is a
+    scalar.
     """
+    _as_correlation(dot)
+    if d < 0:
+        raise ValueError("depth must be nonnegative")
     sw2, su2, sb2 = params.sigma_w_sq, params.sigma_u_sq, params.sigma_b_sq
     act = params.activation
     dot = np.asarray(dot, dtype=float)
@@ -136,23 +132,15 @@ def _interior_recursion(dot, d, params: KernelParams):
         cov = sw2 * diag * _k1(rho, act) + su2 * dot + sb2
         diag = sw2 * diag + su2 + sb2
         theta = sigma_dot * theta + cov
-    return diag, cov, sigma_dot, theta
+    rho = np.clip(cov / diag, -1.0, 1.0)
+    out = params.sigma_v_sq * (_k0(rho, act) * theta + diag * _k1(rho, act))
+    return rho, sigma_dot, theta, out
 
 
 def finite_depth_theta(dot, d, params: KernelParams, include_output_layer=True):
     """Vectorized finite-depth tangent-kernel values for inner products ``dot``."""
-    _as_correlation(dot)
-    if d < 0:
-        raise ValueError("depth must be nonnegative")
-    diag, cov, _, theta = _interior_recursion(dot, d, params)
-    if not include_output_layer:
-        return _maybe_scalar(theta, dot)
-    rho = np.clip(cov / diag, -1.0, 1.0)
-    out = params.sigma_v_sq * (
-        _k0(rho, params.activation) * theta
-        + diag * _k1(rho, params.activation)
-    )
-    return _maybe_scalar(out, dot)
+    _, _, theta, out = _finite_depth(dot, d, params)
+    return _maybe_scalar(out if include_output_layer else theta, dot)
 
 
 def finite_depth_ntk(dot, d: int, params: KernelParams) -> PairKernelState:
@@ -161,28 +149,24 @@ def finite_depth_ntk(dot, d: int, params: KernelParams) -> PairKernelState:
     Runs ``d`` interior layers and applies the readout-layer dual
     activations scaled by sigma_v_sq.
     """
-    _as_correlation(dot)
-    if d < 0:
-        raise ValueError("depth must be nonnegative")
-    diag, cov, sigma_dot, theta = _interior_recursion(float(dot), d, params)
-    rho = float(np.clip(cov / diag, -1.0, 1.0))
-    out = params.sigma_v_sq * (
-        float(_k0(rho, params.activation)) * theta
-        + diag * float(_k1(rho, params.activation))
-    )
+    rho, sigma_dot, _, out = _finite_depth(dot, d, params)
     return PairKernelState(
-        rho=rho, sigma_dot=float(sigma_dot), theta=float(out), depth=d
+        rho=float(rho), sigma_dot=float(sigma_dot), theta=float(out), depth=d
     )
 
 
-def _solve_cov_fixed_point(dot, params: KernelParams):
-    """Root of the covariance map, vectorized over ``dot``.
+def _fixed_point(dot, params: KernelParams):
+    """Depth-limit kernel quantities, vectorized over ``dot``.
 
-    Safeguarded Newton on F(s) = sigma_w_sq * a * k1(s/a) + sigma_u_sq * dot
-    + sigma_b_sq - s, where a is the diagonal fixed point.  F' <=
-    sigma_w_sq - 1 < 0, so the root is unique and Newton steps are damped
-    only by the [-a, a] clamp.
+    The covariance fixed point s* is the root of F(s) = sigma_w_sq * a *
+    k1(s/a) + sigma_u_sq * dot + sigma_b_sq - s, where a is the diagonal
+    fixed point, found by safeguarded Newton: F' <= sigma_w_sq - 1 < 0, so
+    the root is unique and Newton steps are damped only by the [-a, a]
+    clamp.  The interior kernel limit is s* / (1 - sigma_dot*); the readout
+    layer contributes sigma_v_sq times the dual activations at the fixed
+    point.  Returns (s*, rho_dot*, sigma_dot*, theta, iterations, residual).
     """
+    _as_correlation(dot)
     params.require_contraction()
     sw2, su2, sb2 = params.sigma_w_sq, params.sigma_u_sq, params.sigma_b_sq
     act = params.activation
@@ -191,69 +175,47 @@ def _solve_cov_fixed_point(dot, params: KernelParams):
 
     inject = su2 * dot + sb2
     s = np.clip(inject / (1.0 - sw2), -a, a)
-    iterations = 0
     for iterations in range(1, _MAX_NEWTON_ITER + 1):
         rho = np.clip(s / a, -1.0, 1.0)
         f = sw2 * a * _k1(rho, act) + inject - s
         if np.all(np.abs(f) <= _ROOT_TOL):
             break
-        fprime = sw2 * _k0(rho, act) - 1.0
-        s = np.clip(s - f / fprime, -a, a)
+        s = np.clip(s - f / (sw2 * _k0(rho, act) - 1.0), -a, a)
     residual = np.abs(f)
+    del inject, f  # free the Newton work arrays, each the size of the Gram
     if np.any(residual > _ROOT_TOL):
         raise ConvergenceError(
             f"covariance fixed point not found in {_MAX_NEWTON_ITER} "
             f"iterations (max residual {np.max(residual):.3e})"
         )
-    return s, residual, iterations
+    rho = np.clip(s / a, -1.0, 1.0)
+    rho_dot = _k0(rho, act)
+    sigma_dot = sw2 * rho_dot
+    if np.any(np.abs(1.0 - sigma_dot) < _POLE_TOL):
+        raise SingularityError("derivative covariance reached 1: frozen kernel")
+    theta = params.sigma_v_sq * (rho_dot * s / (1.0 - sigma_dot) + a * _k1(rho, act))
+    return s, rho_dot, sigma_dot, theta, iterations, residual
 
 
 def solve_rho_star(dot, params: KernelParams):
     """Fixed point rho* of the covariance map for unit-norm inputs."""
-    _as_correlation(dot)
-    s, _, _ = _solve_cov_fixed_point(dot, params)
-    return _maybe_scalar(s, dot)
+    return _maybe_scalar(_fixed_point(dot, params)[0], dot)
 
 
 def theta_deq_grid(dot, params: KernelParams):
     """Vectorized depth-limit kernel over an array of inner products."""
-    _as_correlation(dot)
-    s, _, _ = _solve_cov_fixed_point(dot, params)
-    a = _diag_fixed_point(params)
-    rho = np.clip(s / a, -1.0, 1.0)
-    rho_dot = _k0(rho, params.activation)
-    sigma_dot = params.sigma_w_sq * rho_dot
-    pole = np.abs(1.0 - sigma_dot)
-    if np.any(pole < _POLE_TOL):
-        raise SingularityError("derivative covariance reached 1: frozen kernel")
-    theta = params.sigma_v_sq * (
-        rho_dot * s / (1.0 - sigma_dot) + a * _k1(rho, params.activation)
-    )
-    return _maybe_scalar(theta, dot)
+    return _maybe_scalar(_fixed_point(dot, params)[3], dot)
 
 
 def theta_deq(dot: float, params: KernelParams) -> FixedPointResult:
-    """Depth-limit kernel for one pair, with the fixed-point diagnostics.
-
-    The interior kernel limit is s* / (1 - sigma_dot*); the readout layer
-    contributes sigma_v_sq times the dual activations at the fixed point.
-    """
-    _as_correlation(dot)
-    s, residual, iterations = _solve_cov_fixed_point(float(dot), params)
-    a = _diag_fixed_point(params)
-    rho = float(np.clip(s / a, -1.0, 1.0))
-    rho_dot = float(_k0(rho, params.activation))
-    sigma_dot = params.sigma_w_sq * rho_dot
-    if abs(1.0 - sigma_dot) < _POLE_TOL:
-        raise SingularityError("derivative covariance reached 1: frozen kernel")
-    theta = params.sigma_v_sq * (
-        rho_dot * float(s) / (1.0 - sigma_dot)
-        + a * float(_k1(rho, params.activation))
+    """Depth-limit kernel for one pair, with the fixed-point diagnostics."""
+    s, rho_dot, sigma_dot, theta, iterations, residual = _fixed_point(
+        float(dot), params
     )
     return FixedPointResult(
         rho_star=float(s),
-        rho_dot_star=rho_dot,
-        sigma_dot_star=sigma_dot,
+        rho_dot_star=float(rho_dot),
+        sigma_dot_star=float(sigma_dot),
         theta=float(theta),
         iterations=iterations,
         residual=float(residual),
@@ -262,10 +224,11 @@ def theta_deq(dot: float, params: KernelParams) -> FixedPointResult:
 
 def theta_linear_deq(dot, params: KernelParams):
     """Closed-form depth-limit kernel of the linear (identity activation) DEQ:
-    sigma_v_sq * sigma_u_sq * x.y * (1/(1-sigma_w_sq)^2 + 1/(1-sigma_w_sq)).
+    sigma_v_sq * (sigma_u_sq * x.y + sigma_b_sq)
+    * (1/(1-sigma_w_sq)^2 + 1/(1-sigma_w_sq)).
     """
     params.require_contraction()
-    c = params.sigma_v_sq * params.sigma_u_sq
+    inject = params.sigma_u_sq * np.asarray(dot, dtype=float) + params.sigma_b_sq
     w = 1.0 - params.sigma_w_sq
-    val = c * np.asarray(dot, dtype=float) * (1.0 / (w * w) + 1.0 / w)
+    val = params.sigma_v_sq * inject * (1.0 / (w * w) + 1.0 / w)
     return _maybe_scalar(val, dot)

@@ -52,7 +52,11 @@ class SpectralDensitySamples:
     grid: np.ndarray  # shape (n, 2): columns lambda, density
 
     def cdf(self, points):
-        """Cumulative distribution evaluated at ``points`` by trapezoid sums."""
+        """Cumulative distribution evaluated at ``points`` by trapezoid sums;
+        a step at a one-point support (the point mass at sigma_w_sq = 0)."""
+        low, high = self.support
+        if low == high:
+            return np.where(np.asarray(points) >= low, 1.0, 0.0)
         lam = self.grid[:, 0]
         den = self.grid[:, 1]
         cum = np.concatenate(
@@ -144,9 +148,11 @@ def support_endpoints(sigma_w_sq: float) -> tuple[float, float]:
 def density_table(
     sigma_w_sq: float, num: int = 1200, endpoint_offset: float = 1e-6
 ) -> SpectralDensitySamples:
-    """Tabulate the density on a grid spanning the support."""
+    """Tabulate the density on a grid spanning the support; a one-point
+    support gives a one-point grid."""
     l, u = support_endpoints(sigma_w_sq)
-    lam = np.linspace(l + endpoint_offset, u - endpoint_offset, num)
+    offset = min(endpoint_offset, 0.25 * (u - l))
+    lam = np.linspace(l + offset, u - offset, num if u > l else 1)
     grid = np.column_stack([lam, density(lam, sigma_w_sq)])
     return SpectralDensitySamples(sigma_w_sq=sigma_w_sq, support=(l, u), grid=grid)
 

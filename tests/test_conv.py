@@ -9,7 +9,6 @@ from deqntk.conv import (
     cdeq_kernel_pair,
     cdeq_sigma_fixed_point,
     cdeq_theta,
-    cdeq_theta_direct,
     patch_trace,
     pixel_inner_tensor,
     validate_unit_pixels,
@@ -24,6 +23,54 @@ def unit_images(count, P_, Q, C, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((count, P_, Q, C))
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def relu_duals(rho):
+    """Normalized-ReLU dual activation and its derivative, written out."""
+    r = np.clip(rho, -1.0, 1.0)
+    k0 = (np.pi - np.arccos(r)) / np.pi
+    return (np.sqrt(1.0 - r * r) + k0 * np.pi * r) / np.pi, k0
+
+
+def three_tensor_sigma(x, y, q, p, tol, max_iter=1000):
+    """Reference covariance solve: iterates the (x, x), (y, y) and (x, y)
+    tensors jointly and reads each pixel's self-covariance from the xx and
+    yy diagonals.  Returns the limiting (K*, Kdot*) of the cross pair."""
+    s = build_normalizer(x.shape[0], x.shape[1], q).s
+    ss = np.multiply.outer(s, s)
+    K0 = [pixel_inner_tensor(a, b) for a, b in ((x, x), (y, y), (x, y))]
+    sig = [patch_trace(k, q) / ss for k in K0]
+
+    def roots(sig):
+        dx, dy = (np.einsum("ijij->ij", t) for t in sig[:2])
+        return [np.sqrt(np.multiply.outer(a, b))
+                for a, b in ((dx, dx), (dy, dy), (dx, dy))]
+
+    for _ in range(max_iter):
+        new = [
+            patch_trace(p.sigma_w_sq * r * relu_duals(t / r)[0]
+                        + p.sigma_u_sq * k0, q) / ss
+            for t, r, k0 in zip(sig, roots(sig), K0)
+        ]
+        delta = max(np.max(np.abs(a - b)) for a, b in zip(new, sig))
+        sig = new
+        if delta <= tol:
+            return sig[2], p.sigma_w_sq * relu_duals(sig[2] / roots(sig)[2])[1]
+    raise AssertionError("reference solve did not converge")
+
+
+def cdeq_theta_direct(Kstar, Kdotstar, norm):
+    """Dense direct solve of the affine kernel system; oracle for tiny
+    images."""
+    P_, Q = Kstar.shape[0], Kstar.shape[1]
+    size = (P_ * Q) ** 2
+    basis = np.eye(size)
+    columns = np.empty((size, size))
+    for j in range(size):
+        E = basis[:, j].reshape(P_, Q, P_, Q)
+        columns[:, j] = (Kdotstar * _sigma_update(E, norm)).ravel()
+    theta = np.linalg.solve(np.eye(size) - columns, Kstar.ravel())
+    return float(np.sum(_tensor_diag(theta.reshape(P_, Q, P_, Q))))
 
 
 class TestNormalizer:
@@ -83,8 +130,7 @@ class TestKStep:
         p0 = KernelParams(sigma_w_sq=0.0, sigma_u_sq=1.0)
         x, y = unit_images(2, 4, 4, 3)
         K0 = pixel_inner_tensor(x, y)
-        norm = build_normalizer(4, 4, 3)
-        K, Kdot = cdeq_k_step(K0.copy(), K0, norm, p0)
+        K, Kdot = cdeq_k_step(K0.copy(), K0, p0)
         assert np.array_equal(K, p0.sigma_u_sq * K0)
         assert np.array_equal(Kdot, np.zeros_like(K0))
 
@@ -93,16 +139,15 @@ class TestKStep:
         K0 = pixel_inner_tensor(x, x)
         norm = build_normalizer(4, 4, 3)
         sigma = _sigma_update(K0, norm)
-        K, _ = cdeq_k_step(sigma, K0, norm, P)
+        K, _ = cdeq_k_step(sigma, K0, P)
         assert np.max(np.abs(_tensor_diag(K) - 1.0)) <= 1e-12
 
     def test_non_psd_rejected(self):
         x = unit_images(1, 3, 3, 2)[0]
         K0 = pixel_inner_tensor(x, x)
-        norm = build_normalizer(3, 3, 3)
         bad = np.full((3, 3, 3, 3), 1.5)
         with pytest.raises(DomainError):
-            cdeq_k_step(bad, K0, norm, P)
+            cdeq_k_step(bad, K0, P)
 
 
 class TestFixedPoint:
@@ -110,6 +155,26 @@ class TestFixedPoint:
         x = unit_images(1, 8, 8, 3)[0]
         sigma, _ = cdeq_sigma_fixed_point(x, x, 3, P, tol=1e-12, max_iter=300)
         assert np.max(np.abs(_tensor_diag(sigma) - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("sw2, su2", [(0.3, 0.2), (0.8, 0.5), (0.65, 0.35)])
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_matches_three_tensor_reference(self, sw2, su2, q):
+        # sw2 + su2 != 1 moves the self-covariance diagonal off 1
+        p = KernelParams(sigma_w_sq=sw2, sigma_u_sq=su2)
+        x, y = unit_images(2, 5, 4, 3, seed=6)
+        for a, b in ((x, y), (x, x)):
+            Ks, Kd = cdeq_sigma_fixed_point(a, b, q, p, tol=1e-12, max_iter=1000)
+            ref_Ks, ref_Kd = three_tensor_sigma(a, b, q, p, tol=1e-12)
+            assert np.max(np.abs(Ks - ref_Ks)) <= 1e-10
+            # Kdot has a square-root cusp at rho = 1: on a self pair's
+            # diagonal a rounding-level rho moves it by ~sqrt(eps)
+            assert np.max(np.abs(Kd - ref_Kd)) <= 5e-8
+
+    def test_bias_rejected(self):
+        p = KernelParams(sigma_w_sq=0.5, sigma_u_sq=0.4, sigma_b_sq=0.1)
+        x, y = unit_images(2, 4, 4, 3)
+        with pytest.raises(DomainError, match="sigma_b_sq"):
+            cdeq_sigma_fixed_point(x, y, 3, p)
 
     def test_convergence_budget_8x8(self):
         p = KernelParams(sigma_w_sq=0.65, sigma_u_sq=0.35)

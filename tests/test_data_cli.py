@@ -1,5 +1,6 @@
 import gzip
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,17 @@ class TestCli:
                     "wall_time_seconds"):
             assert key in manifest
 
+    def test_spectrum_point_mass(self, tmp_path):
+        # at sw2 = 0 every eigenvalue is 1 and the limit is the point mass at 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = CliRunner().invoke(
+                main,
+                ["spectrum", "--sw2", "0", "--n", "50", "--out", str(tmp_path)],
+            )
+        assert result.exit_code == 0, result.output
+        assert "CDF sup-distance = 0.0000" in result.output
+
     def test_regress_on_synthetic_mnist(self, tmp_path):
         write_idx(tmp_path, n=30)
         result = CliRunner().invoke(
@@ -212,6 +224,13 @@ class TestCli:
         )
         assert result.exit_code == 0
         assert (out / "cdeq_gram.csv").exists()
+
+    def test_cdeq_rejects_bias(self):
+        result = CliRunner().invoke(
+            main, ["cdeq", "--size", "4", "--images", "2", "--sb2", "0.1"]
+        )
+        assert result.exit_code == EXIT_CONFIG
+        assert "sigma_b_sq" in result.output
 
     def test_depth_sweep_on_synthetic_cifar(self, tmp_path):
         write_cifar(tmp_path, n=40)

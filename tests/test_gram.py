@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from deqntk import DomainError, KernelParams, theta_deq
 from deqntk.gram import (
@@ -20,6 +23,25 @@ from deqntk.gram import (
 )
 
 P = KernelParams(sigma_w_sq=0.5, sigma_u_sq=0.5)
+
+
+def theta_oracle(dot, p):
+    """Depth-limit ReLU kernel of one pair by bracketing root-finding on the
+    covariance map, with the dual activations written out."""
+    a = (p.sigma_u_sq + p.sigma_b_sq) / (1.0 - p.sigma_w_sq)
+
+    def k0(r):
+        return (math.pi - math.acos(max(-1.0, min(1.0, r)))) / math.pi
+
+    def k1(r):
+        r = max(-1.0, min(1.0, r))
+        return (math.sqrt(1.0 - r * r) + k0(r) * math.pi * r) / math.pi
+
+    inject = p.sigma_u_sq * dot + p.sigma_b_sq
+    s = brentq(lambda s: p.sigma_w_sq * a * k1(s / a) + inject - s, -a, a,
+               xtol=1e-15)
+    sigma_dot = p.sigma_w_sq * k0(s / a)
+    return p.sigma_v_sq * (k0(s / a) * s / (1.0 - sigma_dot) + a * k1(s / a))
 
 
 def unit_rows(n, m, seed=0):
@@ -47,7 +69,7 @@ class TestAssembly:
         for i in range(10):
             for j in range(10):
                 d = 1.0 if i == j else float(np.clip(X[i] @ X[j], -1, 1))
-                assert abs(G[i, j] - theta_deq(d, P).theta) <= 1e-8
+                assert abs(G[i, j] - theta_oracle(d, P)) <= 1e-8
 
     def test_symmetry_and_constant_diagonal(self):
         X = unit_rows(20, 30, seed=2)
@@ -176,6 +198,13 @@ class TestSweeps:
         assert all(0.0 <= r["accuracy"] <= 1.0 for r in rows)
         summary = summarize_sweep(rows)
         assert len(summary) == 2
+
+    def test_sweep_requires_unit_rows(self):
+        X = 1.5 * unit_rows(20, 6, seed=8)
+        vanilla = KernelParams(sigma_w_sq=1.0, sigma_u_sq=0.0)
+        with pytest.raises(DomainError):
+            depth_sweep(X, np.arange(20) % 2, [1], P, vanilla, reps=1,
+                        n_train=10, n_test=5, num_classes=2)
 
     def test_sweep_deterministic_in_seed(self):
         X = unit_rows(50, 12, seed=8)

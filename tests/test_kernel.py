@@ -117,6 +117,14 @@ class TestLinearKernel:
         solver = theta_deq_grid(dots, self.P_LIN)
         assert np.max(np.abs(closed - solver)) <= 1e-10
 
+    def test_bias_matches_fixed_point_solver(self):
+        p = KernelParams(
+            sigma_w_sq=0.3, sigma_u_sq=0.5, sigma_b_sq=0.2, activation=LINEAR
+        )
+        for dot in np.linspace(-1.0, 1.0, 9):
+            closed = theta_linear_deq(dot, p)
+            assert abs(closed - theta_deq(dot, p).theta) <= 1e-12
+
     def test_proportional_to_dot(self):
         assert theta_linear_deq(0.0, self.P_LIN) == 0.0
         assert abs(

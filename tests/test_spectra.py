@@ -72,6 +72,11 @@ class TestDensity:
         assert support_endpoints(0.0) == (1.0, 1.0)
         assert integrate_inverse_eig(0.0) == 1.0
         assert np.all(density(np.array([0.5, 1.0, 2.0]), 0.0) == 0.0)
+        table = density_table(0.0)
+        assert table.grid.shape == (1, 2)
+        assert np.array_equal(table.cdf([0.5, 1.0, 2.0]), [0.0, 1.0, 1.0])
+        # a support narrower than twice the endpoint offset keeps its order
+        assert np.all(np.diff(density_table(1e-13).grid[:, 0]) > 0)
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
