@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, SingularityError
 from .kernel import _k0, _k1
 from .params import KernelParams
 
@@ -89,7 +89,7 @@ def cdeq_k_step(
     """
     ratio = Sigma_prev / diag
     if np.any(np.abs(ratio) > 1.0 + _PSD_TOL):
-        raise DomainError(
+        raise SingularityError(
             "covariance tensor is not PSD within tolerance (upstream bug)"
         )
     rho = np.clip(ratio, -1.0, 1.0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, SingularityError
 from .params import LINEAR, KernelParams
 
 _MATRIX_IDS = {"W": 0, "U": 1, "b": 2, "v": 3}
@@ -237,32 +237,22 @@ def finite_depth_empirical_ntk(
     return w_term + u_term + b_term + v_term
 
 
-def op_norm_estimate(A: np.ndarray, iters: int = 50, seed: int = 0) -> float:
-    """Spectral norm lower estimate by power iteration on A^T A."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.shape[1])
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = A.T @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-    return float(np.sqrt(nw))
-
-
 def linear_resolvent_stats(
     weights: DeqWeights, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, EmpiricalNtkBreakdown]:
     """Exact resolvent form of the linear network's kernel plus the
     normalized trace (1/n) tr(H^T H) with H = (I - sqrt(sigma_w_sq/n) W)^{-1}.
+
+    H exists whenever 1 is not an eigenvalue of sqrt(sigma_w_sq/n) W; an
+    exactly singular draw raises ``SingularityError``.
     """
     p = weights.params
     n = weights.n
     A = np.sqrt(p.sigma_w_sq / n) * weights.W
-    if op_norm_estimate(A) >= 1.0:
-        raise ConvergenceError("shifted matrix is not invertible as a Neumann series")
-    H = scipy.linalg.inv(np.eye(n) - A)
+    try:
+        H = scipy.linalg.inv(np.eye(n) - A)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularityError("I - sqrt(sigma_w_sq/n) W is singular") from exc
     trace_term = float(np.sum(H * H)) / n
 
     zx = np.sqrt(p.sigma_u_sq) * (H @ (weights.U @ x))

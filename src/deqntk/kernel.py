@@ -28,6 +28,13 @@ _MAX_NEWTON_ITER = 200
 _ROOT_TOL = 1e-12
 _POLE_TOL = 1e-14
 
+#: Entries per block of the array cores.  A block's work arrays (at most six
+#: of 256 KiB) stay in a 2 MiB L2 cache across Newton steps and layers.  On
+#: a 2-core AVX-512 Xeon, 16-64 Ki entries timed within noise of each other;
+#: the same in-place code over the whole array took 2.2x as long for the
+#: Newton solve and 1.2x for the depth recursion, and 4 Ki took ~20% longer.
+_BLOCK = 32_768
+
 
 @dataclass(frozen=True)
 class PairKernelState:
@@ -105,6 +112,32 @@ def _diag_fixed_point(params: KernelParams) -> float:
     return (params.sigma_u_sq + params.sigma_b_sq) / (1.0 - params.sigma_w_sq)
 
 
+def _blocks(n):
+    """(start, stop) bounds of the fixed-size blocks covering n entries."""
+    return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
+
+
+def _duals(rho, activation, angle, k1, tmp):
+    """Dual activations at ``rho`` in place, with one ``arccos``.
+
+    Fills ``angle`` with pi - arccos(rho), so that k0(rho) = angle / pi, and
+    ``k1`` with k1(rho); ``tmp`` is scratch.  The operations and their order
+    are those of ``_k1``/``_k0``, so the values are bit-identical to theirs.
+    """
+    if activation == LINEAR:
+        angle.fill(np.pi)
+        np.copyto(k1, rho)
+        return
+    np.arccos(rho, out=angle)
+    np.subtract(np.pi, angle, out=angle)
+    np.multiply(rho, rho, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    np.multiply(angle, rho, out=k1)
+    np.add(tmp, k1, out=k1)
+    np.divide(k1, np.pi, out=k1)
+
+
 def _finite_depth(dot, d, params: KernelParams):
     """Run d interior layers of the covariance/kernel recursion and the
     readout layer, vectorized over ``dot``.
@@ -113,7 +146,9 @@ def _finite_depth(dot, d, params: KernelParams):
     readout, the last interior derivative covariance, the interior kernel
     and the kernel with the readout layer (sigma_v_sq times the dual
     activations).  The common self-covariance ``diag`` of both inputs is a
-    scalar.
+    scalar, so its values per layer are computed once.  Each block of
+    entries runs all layers in block-sized work arrays before the next
+    block starts.
     """
     _as_correlation(dot)
     if d < 0:
@@ -122,19 +157,41 @@ def _finite_depth(dot, d, params: KernelParams):
     act = params.activation
     dot = np.asarray(dot, dtype=float)
 
-    diag = 1.0
-    cov = dot.copy()
-    sigma_dot = np.zeros_like(dot)
-    theta = dot.copy()
+    diags = [1.0]
     for _ in range(d):
-        rho = np.clip(cov / diag, -1.0, 1.0)
-        sigma_dot = sw2 * _k0(rho, act)
-        cov = sw2 * diag * _k1(rho, act) + su2 * dot + sb2
-        diag = sw2 * diag + su2 + sb2
-        theta = sigma_dot * theta + cov
-    rho = np.clip(cov / diag, -1.0, 1.0)
-    out = params.sigma_v_sq * (_k0(rho, act) * theta + diag * _k1(rho, act))
-    return rho, sigma_dot, theta, out
+        diags.append(sw2 * diags[-1] + su2 + sb2)
+    outputs = tuple(np.empty(dot.shape) for _ in range(4))
+    flat = dot.reshape(-1)
+    views = [o.reshape(-1) for o in outputs]
+    work = np.empty((5, min(_BLOCK, flat.size)))
+    for lo, hi in _blocks(flat.size):
+        rho, sigma_dot, theta, out = (v[lo:hi] for v in views)
+        angle, k1, tmp, cov, inject = work[:, : hi - lo]
+        np.multiply(su2, flat[lo:hi], out=inject)
+        np.copyto(cov, flat[lo:hi])
+        np.copyto(theta, flat[lo:hi])
+        sigma_dot.fill(0.0)
+        for diag in diags[:-1]:
+            np.divide(cov, diag, out=rho)
+            np.clip(rho, -1.0, 1.0, out=rho)
+            _duals(rho, act, angle, k1, tmp)
+            np.divide(angle, np.pi, out=sigma_dot)
+            np.multiply(sw2, sigma_dot, out=sigma_dot)
+            np.multiply(sw2 * diag, k1, out=cov)
+            np.add(cov, inject, out=cov)
+            np.add(cov, sb2, out=cov)
+            np.multiply(sigma_dot, theta, out=theta)
+            np.add(theta, cov, out=theta)
+        diag = diags[-1]
+        np.divide(cov, diag, out=rho)
+        np.clip(rho, -1.0, 1.0, out=rho)
+        _duals(rho, act, angle, k1, tmp)
+        np.divide(angle, np.pi, out=tmp)
+        np.multiply(tmp, theta, out=tmp)
+        np.multiply(diag, k1, out=k1)
+        np.add(tmp, k1, out=tmp)
+        np.multiply(params.sigma_v_sq, tmp, out=out)
+    return outputs
 
 
 def finite_depth_theta(dot, d, params: KernelParams, include_output_layer=True):
@@ -164,7 +221,12 @@ def _fixed_point(dot, params: KernelParams):
     the root is unique and Newton steps are damped only by the [-a, a]
     clamp.  The interior kernel limit is s* / (1 - sigma_dot*); the readout
     layer contributes sigma_v_sq times the dual activations at the fixed
-    point.  Returns (s*, rho_dot*, sigma_dot*, theta, iterations, residual).
+    point, which the last Newton step has already evaluated.
+
+    Each block of entries runs Newton in block-sized work arrays until all
+    of its own entries have converged, then its readout.  Returns (s*,
+    rho_dot*, sigma_dot*, theta, iterations, residual): ``iterations`` is
+    the most any block took and ``residual`` is |F(s*)| per entry.
     """
     _as_correlation(dot)
     params.require_contraction()
@@ -173,28 +235,62 @@ def _fixed_point(dot, params: KernelParams):
     dot = np.asarray(dot, dtype=float)
     a = _diag_fixed_point(params)
 
-    inject = su2 * dot + sb2
-    s = np.clip(inject / (1.0 - sw2), -a, a)
-    for iterations in range(1, _MAX_NEWTON_ITER + 1):
-        rho = np.clip(s / a, -1.0, 1.0)
-        f = sw2 * a * _k1(rho, act) + inject - s
-        if np.all(np.abs(f) <= _ROOT_TOL):
-            break
-        s = np.clip(s - f / (sw2 * _k0(rho, act) - 1.0), -a, a)
-    residual = np.abs(f)
-    del inject, f  # free the Newton work arrays, each the size of the Gram
-    if np.any(residual > _ROOT_TOL):
-        raise ConvergenceError(
-            f"covariance fixed point not found in {_MAX_NEWTON_ITER} "
-            f"iterations (max residual {np.max(residual):.3e})"
-        )
-    rho = np.clip(s / a, -1.0, 1.0)
-    rho_dot = _k0(rho, act)
-    sigma_dot = sw2 * rho_dot
-    if np.any(np.abs(1.0 - sigma_dot) < _POLE_TOL):
-        raise SingularityError("derivative covariance reached 1: frozen kernel")
-    theta = params.sigma_v_sq * (rho_dot * s / (1.0 - sigma_dot) + a * _k1(rho, act))
-    return s, rho_dot, sigma_dot, theta, iterations, residual
+    outputs = tuple(np.empty(dot.shape) for _ in range(5))
+    s_all, rho_dot_all, sigma_dot_all, theta_all, residual_all = outputs
+    if a == 0.0:
+        # Without injection or bias every covariance decays to 0 and every
+        # correlation tends to 1, the only fixed point of k1: the kernel is 0.
+        s_all.fill(0.0)
+        rho_dot_all.fill(1.0)
+        sigma_dot_all.fill(sw2)
+        theta_all.fill(0.0)
+        residual_all.fill(0.0)
+        return s_all, rho_dot_all, sigma_dot_all, theta_all, 0, residual_all
+
+    flat = dot.reshape(-1)
+    views = [o.reshape(-1) for o in outputs]
+    work = np.empty((6, min(_BLOCK, flat.size)))
+    iterations = 0
+    for lo, hi in _blocks(flat.size):
+        s, rho_dot, sigma_dot, theta, residual = (v[lo:hi] for v in views)
+        rho, angle, k1, tmp, f, inject = work[:, : hi - lo]
+        np.multiply(su2, flat[lo:hi], out=inject)
+        np.add(inject, sb2, out=inject)
+        np.divide(inject, 1.0 - sw2, out=s)
+        np.clip(s, -a, a, out=s)
+        for step in range(1, _MAX_NEWTON_ITER + 1):
+            np.divide(s, a, out=rho)
+            np.clip(rho, -1.0, 1.0, out=rho)
+            _duals(rho, act, angle, k1, tmp)
+            np.multiply(sw2 * a, k1, out=f)
+            np.add(f, inject, out=f)
+            np.subtract(f, s, out=f)
+            np.abs(f, out=residual)
+            if residual.max() <= _ROOT_TOL:
+                break
+            np.divide(angle, np.pi, out=tmp)
+            np.multiply(sw2, tmp, out=tmp)
+            np.subtract(tmp, 1.0, out=tmp)
+            np.divide(f, tmp, out=tmp)
+            np.subtract(s, tmp, out=s)
+            np.clip(s, -a, a, out=s)
+        iterations = max(iterations, step)
+        if residual.max() > _ROOT_TOL:
+            raise ConvergenceError(
+                f"covariance fixed point not found in {_MAX_NEWTON_ITER} "
+                f"iterations (max residual {residual.max():.3e})"
+            )
+        np.divide(angle, np.pi, out=rho_dot)
+        np.multiply(sw2, rho_dot, out=sigma_dot)
+        np.subtract(1.0, sigma_dot, out=tmp)
+        if np.any(np.abs(tmp, out=f) < _POLE_TOL):
+            raise SingularityError("derivative covariance reached 1: frozen kernel")
+        np.multiply(rho_dot, s, out=theta)
+        np.divide(theta, tmp, out=theta)
+        np.multiply(a, k1, out=k1)
+        np.add(theta, k1, out=theta)
+        np.multiply(params.sigma_v_sq, theta, out=theta)
+    return s_all, rho_dot_all, sigma_dot_all, theta_all, iterations, residual_all
 
 
 def solve_rho_star(dot, params: KernelParams):

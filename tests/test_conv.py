@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deqntk import ConvergenceError, DomainError, KernelParams, theta_deq
+from deqntk import (
+    ConvergenceError,
+    DomainError,
+    KernelParams,
+    SingularityError,
+    theta_deq,
+)
+from deqntk.cli import EXIT_NUMERIC, _guard
 from deqntk.conv import (
     build_normalizer,
     cdeq_k_step,
@@ -146,8 +153,17 @@ class TestKStep:
         x = unit_images(1, 3, 3, 2)[0]
         K0 = pixel_inner_tensor(x, x)
         bad = np.full((3, 3, 3, 3), 1.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(SingularityError):
             cdeq_k_step(bad, K0, P)
+
+    def test_non_psd_exits_numeric(self):
+        # a failure mid-computation, not a configuration error
+        x = unit_images(1, 3, 3, 2)[0]
+        K0 = pixel_inner_tensor(x, x)
+        bad = np.full((3, 3, 3, 3), 1.5)
+        with pytest.raises(SystemExit) as exit_info:
+            _guard(cdeq_k_step)(bad, K0, P)
+        assert exit_info.value.code == EXIT_NUMERIC
 
 
 class TestFixedPoint:

@@ -148,6 +148,16 @@ class TestCli:
         assert result.exit_code == 0
         assert "rho_star = 0.21723362821" in result.output
 
+    def test_kernel_without_injection_is_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = CliRunner().invoke(
+                main, ["kernel", "--sw2", "0.5", "--su2", "0", "--dot", "0.3"]
+            )
+        assert result.exit_code == 0, result.output
+        assert "theta = 0\n" in result.output
+        assert "rho_star = 0\n" in result.output
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("dot = 0.0\nsw2 = 0.5\nsu2 = 0.5\n")

@@ -1,8 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deqntk import ConvergenceError, KernelParams, LINEAR, theta_linear_deq
+from deqntk import (
+    ConvergenceError,
+    KernelParams,
+    LINEAR,
+    SingularityError,
+    theta_linear_deq,
+)
 from deqntk.empirical import (
     DeqWeights,
     deq_forward,
@@ -11,7 +19,6 @@ from deqntk.empirical import (
     ift_ntk_pair,
     linear_resolvent_stats,
     make_weights,
-    op_norm_estimate,
     resolvent_trace,
     _adjoint_vector,
     _injection,
@@ -164,6 +171,43 @@ class TestLinearResolvent:
             errs.append(np.median(np.abs(np.array(vals) - theory) / abs(theory)))
         assert errs[1] < errs[0]
 
+    def test_beyond_neumann_norm_matches_dense_solve(self):
+        # at sw2 = 0.3 the operator norm of sqrt(sw2/n) W tends to 2 sqrt(0.3)
+        # > 1 while the spectral radius stays near sqrt(0.3) < 1
+        n, m = 256, 10
+        p = KernelParams(
+            sigma_w_sq=0.3, sigma_u_sq=0.6, sigma_b_sq=0.1, sigma_v_sq=2.0,
+            activation=LINEAR,
+        )
+        w = make_weights(n, m, seed=3, params=p)
+        x, y = unit_vec(m, 1), unit_vec(m, 2)
+        trace, terms = linear_resolvent_stats(w, x, y)
+
+        B = np.eye(n) - np.sqrt(p.sigma_w_sq / n) * w.W
+        H = np.linalg.solve(B, np.eye(n))
+        inject = lambda u: np.sqrt(p.sigma_u_sq) * (w.U @ u) + np.sqrt(p.sigma_b_sq) * w.b
+        zz = float(np.linalg.solve(B, inject(x)) @ np.linalg.solve(B, inject(y)))
+        q = np.linalg.solve(B.T, np.sqrt(p.sigma_v_sq / n) * w.v)
+        expected = {
+            "trace": float(np.sum(H * H)) / n,
+            "w_term": (p.sigma_w_sq / n) * float(q @ q) * zz,
+            "u_term": p.sigma_u_sq * float(q @ q) * float(x @ y),
+            "b_term": p.sigma_b_sq * float(q @ q),
+            "v_term": (p.sigma_v_sq / n) * zz,
+        }
+        got = {"trace": trace, **{k: getattr(terms, k) for k in expected if k != "trace"}}
+        for key, ref in expected.items():
+            assert np.isfinite(got[key])
+            assert abs(got[key] - ref) <= 1e-10 * abs(ref), key
+
+    def test_singular_draw_raises(self):
+        n = 8
+        w = make_weights(n, 2, seed=0, params=P_LIN)
+        # sqrt(sw2/n) W = I makes the shifted matrix exactly zero
+        eye = dataclasses.replace(w, W=np.sqrt(n / P_LIN.sigma_w_sq) * np.eye(n))
+        with pytest.raises(SingularityError):
+            linear_resolvent_stats(eye, unit_vec(2, 0), unit_vec(2, 1))
+
     def test_trace_near_limit(self):
         vals = [resolvent_trace(400, 0.125, seed) for seed in range(5)]
         assert abs(np.mean(vals) - 1.0 / 0.875) <= 0.02
@@ -172,8 +216,3 @@ class TestLinearResolvent:
         p0 = KernelParams(sigma_w_sq=0.0, sigma_u_sq=1.0)
         w = make_weights(8, 2, seed=0, params=p0)
         assert np.max(np.abs(empirical_spectrum(w) - 1.0)) <= 1e-12
-
-    def test_op_norm_estimate(self):
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((40, 40))
-        assert abs(op_norm_estimate(A) - np.linalg.norm(A, 2)) <= 1e-6

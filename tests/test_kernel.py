@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from deqntk import (
     DomainError,
     KernelParams,
     LINEAR,
+    NORMALIZED_RELU,
     dual_activation,
     dual_activation_dot,
     finite_depth_ntk,
@@ -16,6 +19,7 @@ from deqntk import (
     theta_deq_grid,
     theta_linear_deq,
 )
+from deqntk.kernel import _BLOCK, _fixed_point
 
 P_HALF = KernelParams(sigma_w_sq=0.5, sigma_u_sq=0.5)
 
@@ -154,3 +158,164 @@ class TestFiniteDepth:
         vec = finite_depth_theta(np.array([dot]), d, P_HALF)
         scal = finite_depth_ntk(dot, d, P_HALF).theta
         assert abs(vec[0] - scal) <= 1e-12
+
+
+class TestZeroInjection:
+    """sigma_u_sq = sigma_b_sq = 0: every covariance decays to 0."""
+
+    P_ZERO = KernelParams(sigma_w_sq=0.5, sigma_u_sq=0.0)
+
+    def test_scalar(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = theta_deq(0.3, self.P_ZERO)
+        assert res.theta == 0.0 and res.rho_star == 0.0
+        assert res.sigma_dot_star == self.P_ZERO.sigma_w_sq
+
+    def test_grid(self):
+        dots = np.linspace(-1.0, 1.0, 9).reshape(3, 3)
+        for p in (self.P_ZERO, KernelParams(0.5, 0.0, activation=LINEAR)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grid = theta_deq_grid(dots, p)
+                rho = solve_rho_star(dots, p)
+            assert np.array_equal(grid, np.zeros_like(dots))
+            assert np.array_equal(rho, np.zeros_like(dots))
+            assert np.array_equal(grid, theta_linear_deq(dots, p))
+            # the depth limit of the recursion
+            assert np.max(np.abs(finite_depth_theta(dots, 200, p))) <= 1e-12
+
+
+# Block boundaries of the array cores: one entry, one short of a block, a
+# full block, one past it and two blocks and a partial one.
+SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+EDGE_PARAMS = (
+    P_HALF,
+    KernelParams(sigma_w_sq=0.6, sigma_u_sq=0.1, sigma_b_sq=0.3, sigma_v_sq=2.0),
+    KernelParams(sigma_w_sq=0.999, sigma_u_sq=0.001),
+    KernelParams(sigma_w_sq=0.3, sigma_u_sq=0.5, sigma_b_sq=0.2, activation=LINEAR),
+)
+
+
+def edge_dots(size, seed=0):
+    """Sorted dots with both ends +-1 exactly, so blocks hold different
+    values, plus a few entries at the cusp."""
+    rng = np.random.default_rng(seed)
+    dots = np.sort(rng.uniform(-1.0, 1.0, size))
+    dots[[0, -1]] = -1.0, 1.0
+    dots[size // 2 :: 997] = 1.0
+    return dots
+
+
+def shaped_inputs(sizes):
+    """0-d, 1-d at each size, 2-D, a transposed view and an empty array."""
+    yield np.array(0.25)
+    for size in sizes:
+        yield edge_dots(size)
+    yield edge_dots(3 * (_BLOCK // 2 + 1)).reshape(3, -1)
+    yield edge_dots(3 * (_BLOCK // 2 + 1)).reshape(-1, 3).T
+    yield np.empty((0, 4))
+
+
+def finite_depth_reference(dot, d, params):
+    """The layer recursion over whole arrays, one layer at a time."""
+    sw2, su2, sb2 = params.sigma_w_sq, params.sigma_u_sq, params.sigma_b_sq
+
+    def k1(r):
+        if params.activation == LINEAR:
+            return r
+        return (np.sqrt(1.0 - r * r) + (np.pi - np.arccos(r)) * r) / np.pi
+
+    def k0(r):
+        if params.activation == LINEAR:
+            return np.ones_like(r)
+        return (np.pi - np.arccos(r)) / np.pi
+
+    dot = np.asarray(dot, dtype=float)
+    diag, cov, theta = 1.0, dot.copy(), dot.copy()
+    sigma_dot = np.zeros_like(dot)
+    for _ in range(d):
+        rho = np.clip(cov / diag, -1.0, 1.0)
+        sigma_dot = sw2 * k0(rho)
+        cov = sw2 * diag * k1(rho) + su2 * dot + sb2
+        diag = sw2 * diag + su2 + sb2
+        theta = sigma_dot * theta + cov
+    rho = np.clip(cov / diag, -1.0, 1.0)
+    out = params.sigma_v_sq * (k0(rho) * theta + diag * k1(rho))
+    return rho, sigma_dot, theta, out
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("params", EDGE_PARAMS)
+    @pytest.mark.parametrize("depth", [0, 1, 10, 500])
+    def test_finite_depth_bit_identical(self, params, depth):
+        # depth 500 runs on one size per block boundary case to bound the time
+        sizes = SIZES if depth <= 10 else (_BLOCK + 1,)
+        for dot in shaped_inputs(sizes):
+            ref = finite_depth_reference(dot, depth, params)
+            got = finite_depth_theta(dot, depth, params)
+            assert got.shape == dot.shape
+            assert np.array_equal(got, ref[3])
+            assert np.array_equal(
+                finite_depth_theta(dot, depth, params, include_output_layer=False),
+                ref[2],
+            )
+            if dot.ndim == 0:
+                state = finite_depth_ntk(dot, depth, params)
+                assert (state.rho, state.sigma_dot, state.theta) == tuple(
+                    float(x) for x in (ref[0], ref[1], ref[3])
+                )
+
+    @given(
+        st.floats(0.0, 0.999),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.sampled_from([NORMALIZED_RELU, LINEAR]),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_finite_depth_bit_identical_any_params(self, sw2, su2, sb2, act, depth):
+        p = KernelParams(sw2, su2, sb2, activation=act)
+        dot = edge_dots(_BLOCK + 1)
+        # all-zero variances give 0/0 in both, so nan must match nan
+        assert np.array_equal(
+            finite_depth_theta(dot, depth, p),
+            finite_depth_reference(dot, depth, p)[3],
+            equal_nan=True,
+        )
+
+    @pytest.mark.parametrize("params", EDGE_PARAMS)
+    def test_newton_grid_matches_scalar(self, params):
+        rng = np.random.default_rng(4)
+        pool = np.concatenate([[-1.0, 1.0, 1.0 - 1e-12], rng.uniform(-1.0, 1.0, 300)])
+        pool.sort()
+        scalar = [theta_deq(float(v), params) for v in pool]
+        ref_s = np.array([r.rho_star for r in scalar])
+        ref = np.array([r.theta for r in scalar])
+        # Both solves stop at |F(s)| <= 1e-12 and |F'| >= 1 - sigma_w_sq, but
+        # a scalar stops at its own first such step while a block runs on
+        # until its slowest entry converges.  Theta inherits that gap through
+        # 1 / (1 - sigma_dot) and the arccos cusp: 3.5e-12 relative at
+        # sigma_w_sq = 0.5 and 1.9e-8 at 0.999 for these pools.
+        s_tol = 2e-12 / (1.0 - params.sigma_w_sq)
+        for size in SIZES:
+            # sorted indices give each block a different range of values
+            idx = np.sort(rng.integers(0, pool.size, size))
+            idx[[0, -1]] = 0, pool.size - 1
+            for shape in ((size,), (1, size)):
+                s, _, _, theta, iterations, residual = _fixed_point(
+                    pool[idx].reshape(shape), params
+                )
+                assert theta.shape == residual.shape == shape
+                assert np.all(residual <= 1e-12)
+                assert np.max(np.abs(s.ravel() - ref_s[idx])) <= s_tol
+                rel = np.abs(theta.ravel() - ref[idx]) / np.abs(ref[idx])
+                assert np.max(rel) <= 1e-7
+                assert iterations == max(scalar[i].iterations for i in np.unique(idx))
+
+    def test_newton_odd_shapes(self):
+        for dot in (np.array(0.25), np.empty((0, 4)), edge_dots(6).reshape(2, 3).T):
+            grid = theta_deq_grid(dot, P_HALF)
+            assert grid.shape == dot.shape
+            for g, v in zip(grid.ravel(), dot.ravel()):
+                assert abs(g - theta_deq(float(v), P_HALF).theta) <= 1e-11 * abs(g)
