@@ -136,13 +136,20 @@ def cdeq_sigma_fixed_point(
     norm = build_normalizer(x.shape[0], x.shape[1], q)
     sw2, su2 = params.sigma_w_sq, params.sigma_u_sq
 
+    # A self pair's (i, j, i, j) entries are the self-covariance d itself;
+    # pinning them keeps their correlation exactly 1 at the arccos cusp.
+    self_pair = np.array_equal(x, y)
     K0 = pixel_inner_tensor(x, y)
     sigma = _sigma_update(K0, norm)
     d = 1.0
+    if self_pair:
+        np.einsum("ijij->ij", sigma)[...] = d
     for _ in range(max_iter):
         K, _ = cdeq_k_step(sigma, K0, params, d)
         new_sigma = _sigma_update(K, norm)
         new_d = sw2 * d + su2
+        if self_pair:
+            np.einsum("ijij->ij", new_sigma)[...] = new_d
         delta = max(float(np.max(np.abs(new_sigma - sigma))), abs(new_d - d))
         sigma, d = new_sigma, new_d
         if delta <= tol:

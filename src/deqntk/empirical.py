@@ -4,8 +4,9 @@ The network is z = act(sqrt(sigma_w_sq/n) W z + sigma_u U x + sigma_b b)
 with readout sqrt(sigma_v_sq/n) v.z.  Weights are stored as raw standard
 normals; variance scalings are applied at use-sites.  Forward passes solve
 the fixed point by plain iteration, gradients come from the implicit
-function theorem, and the linear-activation case additionally exposes the
-exact resolvent quantities used by the random-matrix experiments.
+function theorem with the adjoint fixed point solved the same way, and the
+linear-activation case additionally exposes the exact resolvent quantities
+used by the random-matrix experiments.
 
 Randomness is counter-based (Philox) with one sub-stream per weight matrix
 derived from ``SeedSequence([seed, matrix_id, layer])``, so any layer of the
@@ -22,6 +23,13 @@ from .errors import ConvergenceError, SingularityError
 from .params import LINEAR, KernelParams
 
 _MATRIX_IDS = {"W": 0, "U": 1, "b": 2, "v": 3}
+
+#: Largest 1-norm condition estimate of the Cholesky factor R of B^T B that
+#: the resolvent trace accepts.  Forming B^T B squares the condition number
+#: of B; on a 50 x 50 test matrix the trace was off by 1.8e-7 at an estimate
+#: of 4.6e6 and by 1.6e-5 at 1.5e7.  Random draws at sigma_w_sq <= 0.999
+#: and n <= 1000 measured at most 3e5 (errors <= 7e-11).
+_MAX_FACTOR_COND = 1e7
 
 
 def _stream(seed: int, matrix: str, layer: int = 0) -> np.random.Generator:
@@ -124,20 +132,36 @@ def deq_forward(
     )
 
 
-def _adjoint_vector(weights: DeqWeights, z_star: np.ndarray, x: np.ndarray):
-    """p = D (I - A^T D)^{-1} c with D = diag(act'(pre-activation))."""
+def _adjoint_vector(
+    weights: DeqWeights,
+    z_star: np.ndarray,
+    x: np.ndarray,
+    tol: float = 1e-10,
+    max_iter: int = 10000,
+) -> np.ndarray:
+    """p = D u, where u = c + A^T (D u) and D = diag(act'(pre-activation)).
+
+    u is found by plain iteration with the forward pass's residual rule.
+    The map's Jacobian A^T D is the transpose of the forward Jacobian D A
+    at the fixed point, so it contracts whenever the forward pass does.
+    """
     p = weights.params
     _, dact = _act_pair(p)
-    A = np.sqrt(p.sigma_w_sq / weights.n) * weights.W
-    pre = A @ z_star + _injection(weights, x)
-    D = dact(pre)
+    scale = np.sqrt(p.sigma_w_sq / weights.n)
+    D = dact(scale * (weights.W @ z_star) + _injection(weights, x))
     c = np.sqrt(p.sigma_v_sq / weights.n) * weights.v
-    M = np.eye(weights.n) - A.T * D  # A^T @ diag(D)
-    try:
-        sol = scipy.linalg.solve(M, c)
-    except scipy.linalg.LinAlgError as exc:
-        raise ConvergenceError("singular adjoint system: non-contractive draw") from exc
-    return D * sol
+    mapped = c
+    residual = np.inf
+    for _ in range(max_iter):
+        u = mapped
+        mapped = c + scale * (weights.W.T @ (D * u))
+        residual = np.linalg.norm(mapped - u) / (1.0 + np.linalg.norm(u))
+        if residual <= tol:
+            return D * mapped
+    raise ConvergenceError(
+        f"adjoint pass did not reach tol={tol} in {max_iter} iterations "
+        f"(residual {residual:.3e}); sigma_w_sq may be too large for this draw"
+    )
 
 
 def ift_ntk_pair(
@@ -147,8 +171,8 @@ def ift_ntk_pair(
     p = weights.params
     zx = deq_forward(weights, x, tol=tol).z_star
     zy = deq_forward(weights, y, tol=tol).z_star
-    px = _adjoint_vector(weights, zx, x)
-    py = _adjoint_vector(weights, zy, y)
+    px = _adjoint_vector(weights, zx, x, tol=tol)
+    py = _adjoint_vector(weights, zy, y, tol=tol)
     pp = float(px @ py)
     zz = float(zx @ zy)
     return EmpiricalNtkBreakdown(
@@ -237,32 +261,79 @@ def finite_depth_empirical_ntk(
     return w_term + u_term + b_term + v_term
 
 
+def _shifted_identity(W: np.ndarray, sigma_w_sq: float, out=None) -> np.ndarray:
+    """B = I - sqrt(sigma_w_sq/n) W; ``out=W`` builds it in W's memory."""
+    n = W.shape[0]
+    B = np.multiply(-np.sqrt(sigma_w_sq / n), W, out=out)
+    B.ravel()[:: n + 1] += 1.0
+    return B
+
+
+def _gram_upper(B: np.ndarray) -> np.ndarray:
+    """B^T B by ``dsyrk``: the upper triangle of a Fortran-ordered array.
+    B^T of a C-ordered B is Fortran-ordered, so BLAS reads B in place."""
+    return scipy.linalg.blas.dsyrk(1.0, B.T, trans=0, lower=0)
+
+
+def _inverse_frobenius_sq(B: np.ndarray) -> float:
+    """||B^{-1}||_F^2 = ||R^{-1}||_F^2, where B^T B = R^T R (Cholesky).
+
+    The Gram, its factor and the factor's inverse share one n x n buffer;
+    no inverse of B is formed.  A failed factorization, or a factor whose
+    condition estimate exceeds ``_MAX_FACTOR_COND`` (the squared condition
+    number would cost accuracy), raises ``SingularityError``.
+    """
+    R, info = scipy.linalg.lapack.dpotrf(
+        _gram_upper(B), lower=0, clean=1, overwrite_a=1
+    )
+    if info == 0:
+        rcond, _ = scipy.linalg.lapack.dtrcon(R)
+        if rcond * _MAX_FACTOR_COND < 1.0:
+            raise SingularityError(
+                f"I - sqrt(sigma_w_sq/n) W is too ill-conditioned for the "
+                f"Cholesky trace (reciprocal condition estimate {rcond:.3e} "
+                f"of the factor of B^T B)"
+            )
+        R, info = scipy.linalg.lapack.dtrtri(R, lower=0, overwrite_c=1)
+    if info != 0:
+        raise SingularityError(
+            f"I - sqrt(sigma_w_sq/n) W is singular to working precision "
+            f"(Cholesky/triangular inverse info={info})"
+        )
+    flat = R.ravel(order="K")
+    return float(flat @ flat)
+
+
 def linear_resolvent_stats(
     weights: DeqWeights, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, EmpiricalNtkBreakdown]:
     """Exact resolvent form of the linear network's kernel plus the
-    normalized trace (1/n) tr(H^T H) with H = (I - sqrt(sigma_w_sq/n) W)^{-1}.
+    normalized trace (1/n) tr(H^T H), where H = B^{-1} and B = I -
+    sqrt(sigma_w_sq/n) W.
 
-    H exists whenever 1 is not an eigenvalue of sqrt(sigma_w_sq/n) W; an
+    H is never formed: the trace comes from the Cholesky factor of B^T B,
+    and z_x, z_y and q = H^T c from one LU factorization of B.  B is
+    invertible whenever 1 is not an eigenvalue of sqrt(sigma_w_sq/n) W; an
     exactly singular draw raises ``SingularityError``.
     """
     p = weights.params
     n = weights.n
-    A = np.sqrt(p.sigma_w_sq / n) * weights.W
-    try:
-        H = scipy.linalg.inv(np.eye(n) - A)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularityError("I - sqrt(sigma_w_sq/n) W is singular") from exc
-    trace_term = float(np.sum(H * H)) / n
+    B = _shifted_identity(weights.W, p.sigma_w_sq)
+    trace_term = _inverse_frobenius_sq(B) / n
+    # dgetrf reports an exactly zero pivot through info (lu_factor only warns)
+    lu, piv, info = scipy.linalg.lapack.dgetrf(B, overwrite_a=1)
+    if info != 0:
+        raise SingularityError(
+            f"I - sqrt(sigma_w_sq/n) W is singular (zero pivot {info})"
+        )
 
-    zx = np.sqrt(p.sigma_u_sq) * (H @ (weights.U @ x))
-    zy = np.sqrt(p.sigma_u_sq) * (H @ (weights.U @ y))
-    if p.sigma_b_sq > 0:
-        zx = zx + np.sqrt(p.sigma_b_sq) * (H @ weights.b)
-        zy = zy + np.sqrt(p.sigma_b_sq) * (H @ weights.b)
-    q = H.T @ (np.sqrt(p.sigma_v_sq / n) * weights.v)
+    inject = np.column_stack([_injection(weights, x), _injection(weights, y)])
+    Z, _ = scipy.linalg.lapack.dgetrs(lu, piv, inject)
+    q, _ = scipy.linalg.lapack.dgetrs(
+        lu, piv, np.sqrt(p.sigma_v_sq / n) * weights.v, trans=1
+    )
     pp = float(q @ q)
-    zz = float(zx @ zy)
+    zz = float(Z[:, 0] @ Z[:, 1])
     terms = EmpiricalNtkBreakdown(
         w_term=(p.sigma_w_sq / n) * pp * zz,
         u_term=p.sigma_u_sq * pp * float(x @ y),
@@ -273,18 +344,14 @@ def linear_resolvent_stats(
 
 
 def resolvent_trace(n: int, sigma_w_sq: float, seed: int) -> float:
-    """(1/n) tr(H^T H) for one seeded draw of W."""
+    """(1/n) tr(H^T H) = (1/n) ||B^{-1}||_F^2 for one seeded draw of W."""
     W = _stream(seed, "W").standard_normal((n, n))
-    B = np.eye(n) - np.sqrt(sigma_w_sq / n) * W
-    H = scipy.linalg.inv(B)
-    return float(np.sum(H * H)) / n
+    return _inverse_frobenius_sq(_shifted_identity(W, sigma_w_sq, out=W)) / n
 
 
 def empirical_spectrum(weights: DeqWeights) -> np.ndarray:
-    """Ascending eigenvalues of (I - sqrt(sigma_w_sq/n) W)^T (same)."""
-    B = (
-        np.eye(weights.n)
-        - np.sqrt(weights.params.sigma_w_sq / weights.n) * weights.W
+    """Ascending eigenvalues of B^T B, B = I - sqrt(sigma_w_sq/n) W."""
+    B = _shifted_identity(weights.W, weights.params.sigma_w_sq)
+    return scipy.linalg.eigvalsh(
+        _gram_upper(B), lower=False, overwrite_a=True, check_finite=False
     )
-    s = np.linalg.svd(B, compute_uv=False)
-    return np.sort(s * s)

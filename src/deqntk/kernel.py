@@ -160,6 +160,13 @@ def _finite_depth(dot, d, params: KernelParams):
     diags = [1.0]
     for _ in range(d):
         diags.append(sw2 * diags[-1] + su2 + sb2)
+    # Without injection or bias the diagonal sw2^l underflows to 0 (from
+    # layer 1 at sw2 = 0), and with it every covariance and the kernel.  The
+    # layers then run up to the last nonzero diagonal, whose rho and
+    # sigma_dot are returned, and the kernel is exactly 0.
+    vanished = 0.0 in diags
+    if vanished:
+        diags = diags[: diags.index(0.0)]
     outputs = tuple(np.empty(dot.shape) for _ in range(4))
     flat = dot.reshape(-1)
     views = [o.reshape(-1) for o in outputs]
@@ -191,6 +198,9 @@ def _finite_depth(dot, d, params: KernelParams):
         np.multiply(diag, k1, out=k1)
         np.add(tmp, k1, out=tmp)
         np.multiply(params.sigma_v_sq, tmp, out=out)
+    if vanished:
+        outputs[2].fill(0.0)
+        outputs[3].fill(0.0)
     return outputs
 
 

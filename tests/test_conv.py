@@ -182,9 +182,9 @@ class TestFixedPoint:
             Ks, Kd = cdeq_sigma_fixed_point(a, b, q, p, tol=1e-12, max_iter=1000)
             ref_Ks, ref_Kd = three_tensor_sigma(a, b, q, p, tol=1e-12)
             assert np.max(np.abs(Ks - ref_Ks)) <= 1e-10
-            # Kdot has a square-root cusp at rho = 1: on a self pair's
-            # diagonal a rounding-level rho moves it by ~sqrt(eps)
-            assert np.max(np.abs(Kd - ref_Kd)) <= 5e-8
+            # a self pair's diagonal is pinned to d, so its correlation is
+            # exactly 1 at the square-root cusp of Kdot, as in the reference
+            assert np.max(np.abs(Kd - ref_Kd)) <= 1e-10
 
     def test_bias_rejected(self):
         p = KernelParams(sigma_w_sq=0.5, sigma_u_sq=0.4, sigma_b_sq=0.1)

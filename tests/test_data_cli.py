@@ -158,6 +158,18 @@ class TestCli:
         assert "theta = 0\n" in result.output
         assert "rho_star = 0\n" in result.output
 
+    def test_kernel_sweep_past_underflow_is_zero(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = CliRunner().invoke(main, [
+                "kernel", "--sw2", "0.5", "--su2", "0", "--dot", "0.3",
+                "--sweep-depths", "10,1100", "--out", str(tmp_path),
+            ])
+        assert result.exit_code == 0, result.output
+        rows = np.loadtxt(tmp_path / "theta_vs_dot.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(rows))
+        assert np.all(rows[rows[:, 1] == 1100, 2] == 0.0)
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("dot = 0.0\nsw2 = 0.5\nsu2 = 0.5\n")

@@ -22,6 +22,7 @@ from deqntk.empirical import (
     resolvent_trace,
     _adjoint_vector,
     _injection,
+    _inverse_frobenius_sq,
 )
 
 P = KernelParams(sigma_w_sq=0.125, sigma_u_sq=0.875, sigma_v_sq=2.0)
@@ -119,6 +120,34 @@ class TestImplicitGradients:
             analytic = float(np.sum(grads[block] * direction))
             assert abs(numeric - analytic) <= 1e-4 * max(abs(analytic), 1e-12), block
 
+    @pytest.mark.parametrize("activation", ["normalized-relu", LINEAR])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_adjoint_matches_dense_solve(self, n, activation):
+        p = KernelParams(sigma_w_sq=0.5, sigma_u_sq=0.3, sigma_b_sq=0.2,
+                         sigma_v_sq=2.0, activation=activation)
+        m = 8
+        w = make_weights(n, m, seed=n, params=p)
+        x = unit_vec(m, n)
+        z = deq_forward(w, x, tol=1e-13).z_star
+        # dense oracle: p = D (I - A^T D)^{-1} c
+        A = np.sqrt(p.sigma_w_sq / n) * w.W
+        D = (A @ z + _injection(w, x) > 0).astype(float) * np.sqrt(2.0)
+        if activation == LINEAR:
+            D = np.ones(n)
+        c = np.sqrt(p.sigma_v_sq / n) * w.v
+        ref = D * np.linalg.solve(np.eye(n) - A.T * D, c)
+        for tol, bound in ((1e-10, 1e-9), (1e-13, 1e-11)):
+            got = _adjoint_vector(w, z, x, tol=tol)
+            assert np.linalg.norm(got - ref) <= bound * np.linalg.norm(ref), tol
+
+    def test_adjoint_nonconvergence_raises(self):
+        w = make_weights(32, 4, seed=0, params=P)
+        x = unit_vec(4, 0)
+        z = deq_forward(w, x, tol=1e-12).z_star
+        for max_iter in (2, 0):
+            with pytest.raises(ConvergenceError, match="adjoint"):
+                _adjoint_vector(w, z, x, tol=1e-10, max_iter=max_iter)
+
     def test_kernel_value_symmetry(self):
         w = make_weights(64, 8, seed=5, params=P)
         x, y = unit_vec(8, 5), unit_vec(8, 6)
@@ -211,6 +240,42 @@ class TestLinearResolvent:
     def test_trace_near_limit(self):
         vals = [resolvent_trace(400, 0.125, seed) for seed in range(5)]
         assert abs(np.mean(vals) - 1.0 / 0.875) <= 0.02
+
+    @pytest.mark.parametrize("sw2", [0.0, 0.25, 0.5, 0.9])
+    def test_trace_matches_dense_inverse(self, sw2):
+        n, seed = 300, 11
+        W = make_weights(n, 1, seed, P).W
+        H = np.linalg.inv(np.eye(n) - np.sqrt(sw2 / n) * W)
+        ref = float(np.sum(H * H)) / n
+        assert abs(resolvent_trace(n, sw2, seed) - ref) <= 1e-10 * ref
+
+    def test_trace_rejects_squared_ill_conditioning(self):
+        # B^T B squares cond(B): with singular values 1e-7 and [1, 2] the
+        # Cholesky route is off by 5e-3, so it must raise; at 1e-3 it holds
+        n = 50
+        rng = np.random.default_rng(0)
+        Q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        for smallest, ok in ((1e-3, True), (1e-7, False)):
+            s = np.linspace(1.0, 2.0, n)
+            s[0] = smallest
+            B = np.ascontiguousarray((Q1 * s) @ Q2)
+            if ok:
+                exact = float(np.sum(1.0 / s**2))
+                assert abs(_inverse_frobenius_sq(B) - exact) <= 1e-8 * exact
+            else:
+                with pytest.raises(SingularityError, match="ill-conditioned"):
+                    _inverse_frobenius_sq(B)
+
+    @pytest.mark.parametrize("sw2", [0.25, 0.5, 0.9])
+    def test_spectrum_matches_squared_singular_values(self, sw2):
+        n = 300
+        p = KernelParams(sigma_w_sq=sw2, sigma_u_sq=1.0 - sw2)
+        w = make_weights(n, 1, seed=5, params=p)
+        B = np.eye(n) - np.sqrt(sw2 / n) * w.W
+        ref = np.sort(np.linalg.svd(B, compute_uv=False) ** 2)
+        got = empirical_spectrum(w)
+        assert np.all(np.abs(got - ref) <= 1e-9 * ref)
 
     def test_spectrum_degenerate_at_zero_variance(self):
         p0 = KernelParams(sigma_w_sq=0.0, sigma_u_sq=1.0)

@@ -185,6 +185,22 @@ class TestZeroInjection:
             # the depth limit of the recursion
             assert np.max(np.abs(finite_depth_theta(dots, 200, p))) <= 1e-12
 
+    @pytest.mark.parametrize("sw2, depth", [(0.5, 1100), (0.0, 1)])
+    def test_underflowed_diagonal_reads_zero(self, sw2, depth):
+        # sw2^depth is 0 in floating point: past depth ~1075 at sw2 = 0.5,
+        # from depth 1 at sw2 = 0
+        dots = np.linspace(-1.0, 1.0, 9)
+        for p in (KernelParams(sw2, 0.0), KernelParams(sw2, 0.0, activation=LINEAR)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                theta = finite_depth_theta(dots, depth, p)
+                interior = finite_depth_theta(dots, depth, p, include_output_layer=False)
+                state = finite_depth_ntk(0.3, depth, p)
+            assert np.array_equal(theta, np.zeros_like(dots))
+            assert np.array_equal(interior, np.zeros_like(dots))
+            assert state.theta == 0.0
+            assert np.isfinite(state.rho) and np.isfinite(state.sigma_dot)
+
 
 # Block boundaries of the array cores: one entry, one short of a block, a
 # full block, one past it and two blocks and a partial one.

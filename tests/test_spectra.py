@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from deqntk import DomainError
+from deqntk import ConvergenceError, DomainError, spectra
 from deqntk.spectra import (
     density,
     density_table,
@@ -56,9 +56,15 @@ class TestDensity:
                                      limit=200, epsabs=1e-9, epsrel=1e-9)
             assert abs(mass - 1.0) <= 2e-3
 
-    def test_inverse_moment_closed_form(self):
-        for s in (0.1, 0.25, 0.5, 0.75):
-            assert abs(integrate_inverse_eig(s) - 1.0 / (1.0 - s)) <= 1e-3
+    @given(st.floats(0.01, 0.9))
+    @settings(max_examples=40, deadline=None)
+    def test_inverse_moment_closed_form(self, s):
+        assert abs(integrate_inverse_eig(s) - 1.0 / (1.0 - s)) <= 1e-9
+
+    def test_quadrature_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_GC_MAX_NODES", 127)
+        with pytest.raises(ConvergenceError, match="Gauss-Chebyshev"):
+            integrate_inverse_eig(0.9)
 
     def test_support_widens_with_variance(self):
         spans = []
