@@ -443,29 +443,47 @@ def regress(config, sw2, su2, sb2, sv2, activation, dataset, path, n_train,
 
 @main.command()
 @shared_options
-@click.option("--size", type=int, default=None, help="image side length")
+@click.option("--data", type=click.Path(), default=None,
+              help="CIFAR-10 batch file or directory; random images otherwise")
+@click.option("--size", type=int, default=None,
+              help="side length of the random images")
 @click.option("--filter-size", type=int, default=None)
 @click.option("--images", type=int, default=None)
-@click.option("--channels", type=int, default=None)
+@click.option("--channels", type=int, default=None,
+              help="channels of the random images")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
 @_guard
-def cdeq(config, sw2, su2, sb2, sv2, activation, size, filter_size, images,
-         channels, seed, out):
-    """Convolutional kernel Gram over random unit-pixel images."""
+def cdeq(config, sw2, su2, sb2, sv2, activation, data, size, filter_size,
+         images, channels, seed, out):
+    """Convolutional kernel Gram over unit-pixel images: the first --images
+    CIFAR-10 images with --data, random ones otherwise."""
     start = time.monotonic()
     cfg = _Resolver(config)
     params = _resolve_params(cfg, sw2, su2, sb2, sv2, activation,
                              default_sw2=0.65, default_su2=0.35)
+    data = cfg.get("data", data, None, cast=str)
     size = int(cfg.get("size", size, 8, cast=int))
     q = int(cfg.get("filter_size", filter_size, 3, cast=int))
     count = int(cfg.get("images", images, 8, cast=int))
     channels = int(cfg.get("channels", channels, 3, cast=int))
     seed = int(cfg.get("seed", seed, 0, cast=int))
 
-    rng = np.random.default_rng(seed)
-    imgs = rng.standard_normal((count, size, size, channels))
-    imgs /= np.linalg.norm(imgs, axis=-1, keepdims=True)
+    if data is None:
+        rng = np.random.default_rng(seed)
+        imgs = rng.standard_normal((count, size, size, channels))
+        imgs /= np.linalg.norm(imgs, axis=-1, keepdims=True)
+        source = "random"
+    else:
+        ds = load_cifar10(data, normalization=UNIT_PIXEL)
+        if count > ds.features.shape[0]:
+            raise ValueError(
+                f"--images {count} exceeds the {ds.features.shape[0]} images "
+                f"in {ds.source}"
+            )
+        imgs = ds.features[:count]
+        size, channels = imgs.shape[1], imgs.shape[3]
+        source = ds.source
     G = assemble_gram(imgs, CDEQ_NTK, params, filter_size=q)
     eigs = np.linalg.eigvalsh(G.values)
     click.echo(f"gram min eigenvalue {eigs[0]:.6g}, max {eigs[-1]:.6g}")
@@ -474,7 +492,7 @@ def cdeq(config, sw2, su2, sb2, sv2, activation, size, filter_size, images,
         outdir.mkdir(parents=True, exist_ok=True)
         np.savetxt(outdir / "cdeq_gram.csv", G.values, delimiter=",", fmt="%.17g")
         write_manifest(outdir, "cdeq", {
-            "size": size, "filter_size": q, "images": count,
+            "data": source, "size": size, "filter_size": q, "images": count,
             "channels": channels, "seed": seed, **_params_dict(params),
         }, time.monotonic() - start)
 

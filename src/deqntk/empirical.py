@@ -113,16 +113,17 @@ def deq_forward(
     """Solve the forward fixed point by plain iteration.
 
     The map value act(A z + inj) that measures an iterate's residual is the
-    next iterate, so each iteration costs one matvec.
+    next iterate, so each iteration costs one matvec.  A = sqrt(sigma_w_sq /
+    n) W is applied as a scaled matvec with W, never formed.
     """
     act, _ = _act_pair(weights.params)
-    A = np.sqrt(weights.params.sigma_w_sq / weights.n) * weights.W
+    scale = np.sqrt(weights.params.sigma_w_sq / weights.n)
     inj = _injection(weights, x)
-    mapped = act(A @ np.zeros(weights.n) + inj)
+    mapped = act(inj)
     residual = np.inf
     for it in range(1, max_iter + 1):
         z = mapped
-        mapped = act(A @ z + inj)
+        mapped = act(scale * (weights.W @ z) + inj)
         residual = np.linalg.norm(mapped - z) / (1.0 + np.linalg.norm(z))
         if residual <= tol:
             return EquilibriumState(z_star=z, residual=float(residual), iterations=it)

@@ -2,20 +2,19 @@
 
 Dense kernels (fixed-point, finite-depth, linear closed-form) depend on a
 pair only through its inner product, so their Grams are vectorized over the
-dataset's dot-product matrix.  The convolutional kernel is evaluated pair
-by pair over the upper triangle, optionally on a process pool; every entry
-is a pure function of its two inputs, so the result is identical for any
-worker count.
+dataset's dot-product matrix.  The convolutional kernel is solved in one
+batched call over the image pairs of the upper triangle (or of the test x
+train grid); each entry is a pure function of its two images and equals
+``cdeq_kernel_pair`` on that pair exactly.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .conv import cdeq_kernel_pair
+from .conv import _cdeq_pairs
 from .errors import DomainError
 from .kernel import finite_depth_theta, theta_deq_grid, theta_linear_deq
 from .params import KernelParams
@@ -84,43 +83,28 @@ def _check_unit_rows(features: np.ndarray) -> None:
         raise DomainError("dense kernels require unit-normalized samples")
 
 
-def _cdeq_entry(args):
-    i, j, x, y, q, params = args
-    return i, j, cdeq_kernel_pair(x, y, q, params)
-
-
 def assemble_gram(
     features: np.ndarray,
     kernel_tag: str,
     params: KernelParams,
     depth: int | None = None,
     filter_size: int = 3,
-    workers: int = 1,
 ) -> GramMatrix:
     """Kernel matrix over ``features``.
 
     Dense tags take N x m unit-norm rows; the convolutional tag takes
-    N x P x Q x C unit-pixel images and fills the upper triangle pair by
-    pair (in parallel when ``workers`` > 1).
+    N x P x Q x C unit-pixel images and solves the upper triangle, diagonal
+    included, in one batched call.
     """
     if kernel_tag not in KERNEL_TAGS:
         raise ValueError(f"unknown kernel tag {kernel_tag!r}")
     n = features.shape[0]
     if kernel_tag == CDEQ_NTK:
+        rows, cols = np.triu_indices(n)
         values = np.empty((n, n))
-        jobs = [
-            (i, j, features[i], features[j], filter_size, params)
-            for i in range(n)
-            for j in range(i, n)
-        ]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_cdeq_entry, jobs, chunksize=4))
-        else:
-            results = [_cdeq_entry(job) for job in jobs]
-        for i, j, val in results:
-            values[i, j] = val
-            values[j, i] = val
+        values[rows, cols] = values[cols, rows] = _cdeq_pairs(
+            features, features, rows, cols, filter_size, params
+        )
     else:
         values = kernel_from_dots(_dot_matrix(features), kernel_tag, params, depth)
         values = 0.5 * (values + values.T)
@@ -137,11 +121,11 @@ def cross_gram(
 ) -> np.ndarray:
     """N_test x N_train matrix of kernel(test_i, train_j)."""
     if kernel_tag == CDEQ_NTK:
-        out = np.empty((test_features.shape[0], train_features.shape[0]))
-        for i, x in enumerate(test_features):
-            for j, y in enumerate(train_features):
-                out[i, j] = cdeq_kernel_pair(x, y, filter_size, params)
-        return out
+        shape = (test_features.shape[0], train_features.shape[0])
+        rows, cols = np.indices(shape).reshape(2, -1)
+        return _cdeq_pairs(
+            test_features, train_features, rows, cols, filter_size, params
+        ).reshape(shape)
     dots = _dot_matrix(test_features, train_features)
     return kernel_from_dots(dots, kernel_tag, params, depth)
 

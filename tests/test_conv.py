@@ -15,10 +15,10 @@ from deqntk.conv import (
     cdeq_k_step,
     cdeq_kernel_pair,
     cdeq_sigma_fixed_point,
-    cdeq_theta,
     patch_trace,
     pixel_inner_tensor,
     validate_unit_pixels,
+    _cdeq_pairs,
     _sigma_update,
     _tensor_diag,
 )
@@ -64,6 +64,19 @@ def three_tensor_sigma(x, y, q, p, tol, max_iter=1000):
         if delta <= tol:
             return sig[2], p.sigma_w_sq * relu_duals(sig[2] / roots(sig)[2])[1]
     raise AssertionError("reference solve did not converge")
+
+
+def cdeq_theta(Kstar, Kdotstar, norm, tol=1e-8, max_iter=10000):
+    """Full-tensor oracle: iterate the affine kernel fixed point
+    Theta = Kdot* (.) L(Theta) + K* on the whole P x Q x P x Q tensor until
+    no entry moves by more than ``tol``; returns the trace."""
+    theta = Kstar.copy()
+    for _ in range(max_iter):
+        theta_new = Kdotstar * _sigma_update(theta, norm) + Kstar
+        if float(np.max(np.abs(theta_new - theta))) <= tol:
+            return float(np.sum(_tensor_diag(theta_new)))
+        theta = theta_new
+    raise AssertionError("full-tensor kernel iteration did not converge")
 
 
 def cdeq_theta_direct(Kstar, Kdotstar, norm):
@@ -256,3 +269,58 @@ class TestTheta:
                 )
         w = np.linalg.eigvalsh(G)
         assert w[0] >= -1e-8 * w[-1]
+
+
+class TestSliceSolver:
+    """The offset-0 slice solver behind cdeq_kernel_pair against the
+    full-tensor path: covariance tensor, then the full kernel iteration."""
+
+    @pytest.mark.parametrize("sw2, su2", [(0.3, 0.2), (0.8, 0.5), (0.65, 0.35)])
+    @pytest.mark.parametrize("shape, q", [((5, 4), 1), ((5, 4), 3), ((7, 6), 5)])
+    def test_matches_full_tensor_oracle(self, sw2, su2, shape, q):
+        # sw2 + su2 != 1 moves the self-covariance diagonal d off 1
+        p = KernelParams(sigma_w_sq=sw2, sigma_u_sq=su2)
+        norm = build_normalizer(*shape, q)
+        x, y = unit_images(2, *shape, 3, seed=11)
+        for a, b in ((x, y), (x, x)):
+            Ks, Kd = cdeq_sigma_fixed_point(a, b, q, p, tol=1e-12, max_iter=1000)
+            want = cdeq_theta(Ks, Kd, norm, tol=1e-12)
+            got = cdeq_kernel_pair(a, b, q, p, sigma_tol=1e-12, theta_tol=1e-12,
+                                   max_iter=1000)
+            assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_blocks_do_not_change_values(self, monkeypatch):
+        import deqntk.conv as conv
+
+        imgs = unit_images(5, 4, 3, 2, seed=12)
+        rows, cols = np.triu_indices(5)
+        whole = _cdeq_pairs(imgs, imgs, rows, cols, 3, P)
+        # two pairs per block: the last block is short
+        monkeypatch.setattr(conv, "_BLOCK", 2 * 4 * 3)
+        assert np.array_equal(_cdeq_pairs(imgs, imgs, rows, cols, 3, P), whole)
+
+    def test_covariance_budget_names_stage_and_pair(self):
+        x, y = unit_images(2, 4, 4, 3)
+        with pytest.raises(ConvergenceError) as info:
+            cdeq_kernel_pair(x, y, 3, P, max_iter=1)
+        msg = str(info.value)
+        assert msg.startswith("covariance fixed point: 1 of 1 image pairs")
+        assert "in 1 iterations" in msg and "images (0, 0)" in msg
+        assert "max change" in msg
+
+    def test_kernel_budget_names_stage_and_pair(self, monkeypatch):
+        import deqntk.conv as conv
+
+        monkeypatch.setattr(conv, "_THETA_MAX_ITER", 1)
+        imgs = unit_images(3, 4, 4, 3)
+        with pytest.raises(ConvergenceError) as info:
+            _cdeq_pairs(imgs, imgs, [0, 1, 2], [0, 2, 1], 3, P)
+        msg = str(info.value)
+        assert msg.startswith("kernel fixed point: 3 of 3 image pairs")
+        assert "images (0, 0)" in msg and "trace error bound" in msg
+
+    def test_rejects_mismatched_shapes(self):
+        x = unit_images(1, 4, 4, 3)[0]
+        y = unit_images(1, 4, 5, 3)[0]
+        with pytest.raises(ValueError, match="image shapes differ"):
+            cdeq_kernel_pair(x, y, 3, P)

@@ -247,6 +247,37 @@ class TestCli:
         assert result.exit_code == 0
         assert (out / "cdeq_gram.csv").exists()
 
+    def test_cdeq_on_synthetic_cifar(self, tmp_path):
+        batch = write_cifar(tmp_path, n=5)
+        out = tmp_path / "cdeq"
+        result = CliRunner().invoke(
+            main,
+            ["cdeq", "--data", str(tmp_path), "--images", "4", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        G = np.loadtxt(out / "cdeq_gram.csv", delimiter=",")
+        assert G.shape == (4, 4)
+        assert np.array_equal(G, G.T)
+        w = np.linalg.eigvalsh(G)
+        assert w[0] >= -1e-8 * w[-1]
+        manifest = (out / "manifest.txt").read_text()
+        assert f"data = {batch}" in manifest and "size = 32" in manifest
+
+    def test_cdeq_malformed_batch_is_data_error(self, tmp_path):
+        write_cifar(tmp_path, n=3, bad_size=True)
+        result = CliRunner().invoke(
+            main, ["cdeq", "--data", str(tmp_path), "--images", "2"]
+        )
+        assert result.exit_code == EXIT_DATA
+
+    def test_cdeq_more_images_than_data_is_config_error(self, tmp_path):
+        write_cifar(tmp_path, n=3)
+        result = CliRunner().invoke(
+            main, ["cdeq", "--data", str(tmp_path), "--images", "4"]
+        )
+        assert result.exit_code == EXIT_CONFIG
+        assert "exceeds the 3 images" in result.output
+
     def test_cdeq_rejects_bias(self):
         result = CliRunner().invoke(
             main, ["cdeq", "--size", "4", "--images", "2", "--sb2", "0.1"]

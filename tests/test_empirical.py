@@ -81,6 +81,34 @@ class TestForward:
             with pytest.raises(ConvergenceError):
                 deq_forward(w, unit_vec(4, 0), tol=1e-10, max_iter=max_iter)
 
+    def test_forms_no_scaled_copy_of_w(self):
+        import tracemalloc
+
+        n = 1024
+        w = make_weights(n, 10, seed=2, params=P)
+        x = unit_vec(10, 2)
+        tracemalloc.start()
+        try:
+            deq_forward(w, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4, peak
+
+    @pytest.mark.parametrize("params", [P, P_LIN])
+    def test_matches_explicit_matrix_iteration(self, params):
+        w = make_weights(256, 10, seed=3, params=params)
+        x = unit_vec(10, 3)
+        act = (lambda u: u) if params.activation == LINEAR else (
+            lambda u: np.sqrt(2.0) * np.maximum(u, 0.0))
+        A = np.sqrt(params.sigma_w_sq / w.n) * w.W
+        inj = _injection(w, x)
+        z, mapped = act(inj), act(A @ act(inj) + inj)
+        while np.linalg.norm(mapped - z) / (1.0 + np.linalg.norm(z)) > 1e-10:
+            z, mapped = mapped, act(A @ mapped + inj)
+        got = deq_forward(w, x).z_star
+        assert np.linalg.norm(got - z) <= 1e-12 * np.linalg.norm(z)
+
 
 class TestImplicitGradients:
     def _numeric_grad(self, weights, x, block, h=1e-6):

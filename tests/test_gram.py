@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from deqntk import DomainError, KernelParams, theta_deq
+from deqntk import ConvergenceError, DomainError, KernelParams, theta_deq
+from deqntk.conv import cdeq_kernel_pair
 from deqntk.gram import (
     CDEQ_NTK,
     DEQ_NTK,
@@ -48,6 +49,12 @@ def unit_rows(n, m, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, m))
     return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def unit_images(n, P_, Q, C, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, P_, Q, C))
+    return X / np.linalg.norm(X, axis=-1, keepdims=True)
 
 
 class TestAssembly:
@@ -111,13 +118,33 @@ class TestAssembly:
         ratio = G / dots
         assert np.ptp(ratio) <= 1e-9
 
-    def test_cdeq_worker_count_invariance(self):
-        rng = np.random.default_rng(4)
-        imgs = rng.standard_normal((3, 4, 4, 2))
-        imgs /= np.linalg.norm(imgs, axis=-1, keepdims=True)
-        a = assemble_gram(imgs, CDEQ_NTK, P, filter_size=3, workers=1).values
-        b = assemble_gram(imgs, CDEQ_NTK, P, filter_size=3, workers=2).values
-        assert np.array_equal(a, b)
+    def test_cdeq_entries_equal_pair_values(self):
+        imgs = unit_images(4, 5, 4, 2, seed=4)
+        G = assemble_gram(imgs, CDEQ_NTK, P, filter_size=3).values
+        for i in range(4):
+            for j in range(4):
+                assert G[i, j] == cdeq_kernel_pair(imgs[i], imgs[j], 3, P)
+                # the same images in other memory layouts
+                strided = np.zeros((5, 8, 2))
+                strided[:, ::2] = imgs[j]
+                x, y = np.asfortranarray(imgs[i]), strided[:, ::2]
+                assert G[i, j] == cdeq_kernel_pair(x, y, 3, P)
+
+    def test_cdeq_cross_gram_of_self_equals_gram(self):
+        imgs = unit_images(4, 5, 4, 2, seed=5)
+        G = assemble_gram(imgs, CDEQ_NTK, P, filter_size=3).values
+        assert np.array_equal(cross_gram(imgs, imgs, CDEQ_NTK, P, filter_size=3), G)
+
+    def test_cdeq_budget_names_stage_and_pair(self):
+        # a linear map at sigma_w_sq = 0.99 contracts too slowly for the
+        # 30-step covariance budget; self pairs are pinned and stop at once
+        p = KernelParams(sigma_w_sq=0.99, sigma_u_sq=0.01, activation="linear")
+        imgs = unit_images(3, 4, 4, 2, seed=6)
+        with pytest.raises(ConvergenceError) as info:
+            assemble_gram(imgs, CDEQ_NTK, p, filter_size=3)
+        msg = str(info.value)
+        assert msg.startswith("covariance fixed point: 3 of 6 image pairs")
+        assert "in 30 iterations" in msg and "images (0, 1)" in msg
 
 
 class TestLabels:
