@@ -1,7 +1,12 @@
 """Equilibrium-network kernel computations: fixed-point, convolutional,
 finite-width empirical, spectral and regression tooling."""
 
+import logging
+
 __version__ = "0.1.0"
+
+# Fallbacks are logged; nothing is printed unless the application asks.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .errors import (
     ConvergenceError,
@@ -16,7 +21,6 @@ from .kernel import (
     dual_activation_dot,
     finite_depth_ntk,
     finite_depth_theta,
-    solve_rho_star,
     theta_deq,
     theta_deq_grid,
     theta_linear_deq,
@@ -34,7 +38,6 @@ __all__ = [
     "dual_activation_dot",
     "finite_depth_ntk",
     "finite_depth_theta",
-    "solve_rho_star",
     "theta_deq",
     "theta_deq_grid",
     "theta_linear_deq",

@@ -475,13 +475,13 @@ def cdeq(config, sw2, su2, sb2, sv2, activation, data, size, filter_size,
         imgs /= np.linalg.norm(imgs, axis=-1, keepdims=True)
         source = "random"
     else:
-        ds = load_cifar10(data, normalization=UNIT_PIXEL)
+        ds = load_cifar10(data, normalization=UNIT_PIXEL, limit=count)
         if count > ds.features.shape[0]:
             raise ValueError(
                 f"--images {count} exceeds the {ds.features.shape[0]} images "
                 f"in {ds.source}"
             )
-        imgs = ds.features[:count]
+        imgs = ds.features
         size, channels = imgs.shape[1], imgs.shape[3]
         source = ds.source
     G = assemble_gram(imgs, CDEQ_NTK, params, filter_size=q)

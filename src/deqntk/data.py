@@ -88,23 +88,39 @@ def _parse_idx_labels(raw: bytes, path: Path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, count=n, offset=8).astype(int)
 
 
-def normalize_samples(features: np.ndarray) -> np.ndarray:
-    flat = features.reshape(features.shape[0], -1).astype(float)
-    norms = np.linalg.norm(flat, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise DataFormatError("all-zero sample cannot be unit-normalized")
-    return flat / norms
-
-
 def normalize_pixels(images: np.ndarray) -> np.ndarray:
-    """Unit channel vector per pixel; all-zero pixels become uniform."""
-    out = images.astype(float).copy()
-    norms = np.linalg.norm(out, axis=-1, keepdims=True)
-    c = out.shape[-1]
-    uniform = 1.0 / np.sqrt(c)
+    """Unit channel vector per pixel, as a new float array; all-zero pixels
+    become uniform."""
+    return _unit_pixels(np.array(images, dtype=float))
+
+
+def _unit_pixels(images: np.ndarray) -> np.ndarray:
+    """``normalize_pixels`` in place on a float array, which is returned."""
+    norms = np.einsum("...c,...c->...", images, images)[..., None]
+    np.sqrt(norms, out=norms)
     zero = norms == 0
-    out = np.where(zero, uniform, out / np.where(zero, 1.0, norms))
-    return out
+    np.divide(images, norms, out=images, where=~zero)
+    np.copyto(images, 1.0 / np.sqrt(images.shape[-1]), where=zero)
+    return images
+
+
+def _features(records: np.ndarray, normalization: str) -> np.ndarray:
+    """uint8 ``records`` as one float64 array of pixels in [0, 1], normalized
+    in place: unit-sample rows come back flattened per record, unit-pixel
+    and unnormalized records keep their shape."""
+    feats = records.astype(float, order="C")
+    feats /= 255.0
+    if normalization == UNIT_SAMPLE:
+        feats = feats.reshape(feats.shape[0], -1)
+        norms = np.sqrt(np.einsum("ij,ij->i", feats, feats))[:, None]
+        if np.any(norms == 0):
+            raise DataFormatError("all-zero sample cannot be unit-normalized")
+        feats /= norms
+    elif normalization == UNIT_PIXEL:
+        _unit_pixels(feats)
+    elif normalization != NONE:
+        raise ValueError(f"unknown normalization {normalization!r}")
+    return feats
 
 
 def _resolve(path, split_files, source_name) -> Path:
@@ -127,13 +143,10 @@ def load_idx_pair(images_path, labels_path, normalization: str = UNIT_SAMPLE) ->
         raise DataFormatError(
             f"image count {images.shape[0]} != label count {labels.shape[0]}"
         )
-    feats = images.astype(float) / 255.0
-    if normalization == UNIT_SAMPLE:
-        feats = normalize_samples(feats)
-    elif normalization != NONE:
+    if normalization not in (UNIT_SAMPLE, NONE):
         raise ValueError(f"unsupported normalization {normalization!r} for IDX data")
     return Dataset(
-        features=feats,
+        features=_features(images, normalization),
         labels=labels,
         normalization=normalization,
         source=str(images_path),
@@ -156,10 +169,16 @@ def load_mnist(path=None, split: str = "train", normalization: str = UNIT_SAMPLE
     raise DataFormatError(f"MNIST {split} IDX files not found under {base}")
 
 
-def load_cifar10(path=None, normalization: str = UNIT_SAMPLE) -> Dataset:
+def load_cifar10(
+    path=None, normalization: str = UNIT_SAMPLE, limit: int | None = None
+) -> Dataset:
     """CIFAR-10 binary batches: one file, or every data_batch_*.bin under a
     directory.  Features come back as 32 x 32 x 3 images in [0, 1] when
-    normalization is unit-pixel, flattened rows otherwise."""
+    normalization is unit-pixel, flattened rows otherwise.  With ``limit``
+    only the first ``limit`` records are converted, and batch files after
+    the one that completes them are not read."""
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
     target = _resolve(path, None, "CIFAR-10")
     if target.is_dir():
         files = sorted(target.glob("data_batch_*.bin")) or sorted(
@@ -177,7 +196,7 @@ def load_cifar10(path=None, normalization: str = UNIT_SAMPLE) -> Dataset:
             raise DataFormatError(
                 f"{f}: size {len(raw)} is not a multiple of {_CIFAR_RECORD}"
             )
-        arr = np.frombuffer(raw, dtype=np.uint8).reshape(-1, _CIFAR_RECORD)
+        arr = np.frombuffer(raw, dtype=np.uint8).reshape(-1, _CIFAR_RECORD)[:limit]
         lab = arr[:, 0].astype(int)
         if np.any(lab > 9):
             raise DataFormatError(f"{f}: label exceeds 9")
@@ -185,20 +204,13 @@ def load_cifar10(path=None, normalization: str = UNIT_SAMPLE) -> Dataset:
         img = arr[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
         images.append(img)
         labels.append(lab)
-    images = np.concatenate(images).astype(float) / 255.0
-    labels = np.concatenate(labels)
-
-    if normalization == UNIT_SAMPLE:
-        feats = normalize_samples(images)
-    elif normalization == UNIT_PIXEL:
-        feats = normalize_pixels(images)
-    elif normalization == NONE:
-        feats = images
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
+        if limit is not None:
+            limit -= arr.shape[0]
+            if limit == 0:
+                break
     return Dataset(
-        features=feats,
-        labels=labels,
+        features=_features(np.concatenate(images), normalization),
+        labels=np.concatenate(labels),
         normalization=normalization,
-        source=";".join(str(f) for f in files),
+        source=";".join(str(f) for f in files[: len(images)]),
     )

@@ -2,22 +2,35 @@
 
 Dense kernels (fixed-point, finite-depth, linear closed-form) depend on a
 pair only through its inner product, so their Grams are vectorized over the
-dataset's dot-product matrix.  The convolutional kernel is solved in one
-batched call over the image pairs of the upper triangle (or of the test x
-train grid); each entry is a pure function of its two images and equals
-``cdeq_kernel_pair`` on that pair exactly.
+dataset's dot-product matrix.  A finite-depth Gram runs the layer recursion
+only at a few Chebyshev nodes in the angle arccos(x.y) over the range its
+entries span, and evaluates that checked fit at every entry.  The
+convolutional kernel is solved in one batched call over the image pairs of
+the upper triangle (or of the test x train grid); each entry is a pure
+function of its two images and equals ``cdeq_kernel_pair`` on that pair
+exactly.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.polynomial import chebyshev
 
 from .conv import _cdeq_pairs
 from .errors import DomainError
-from .kernel import finite_depth_theta, theta_deq_grid, theta_linear_deq
+from .kernel import (
+    _BLOCK,
+    _as_correlation,
+    finite_depth_theta,
+    theta_deq_grid,
+    theta_linear_deq,
+)
 from .params import KernelParams
+
+log = logging.getLogger(__name__)
 
 DEQ_NTK = "deq-ntk"
 FINITE_DEPTH_NTK = "finite-depth-ntk"
@@ -30,6 +43,21 @@ KERNEL_TAGS = (DEQ_NTK, FINITE_DEPTH_NTK, VANILLA_NTK, LINEAR_DEQ, CDEQ_NTK)
 #: Relative jitter ladder tried when a regularized factorization fails.
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 _UNIT_NORM_TOL = 1e-9
+
+#: A finite-depth fit is accepted once max|fit - exact| at its check points
+#: is at most FIT_TOL times the largest |exact| there.
+FIT_TOL = 2e-11
+#: Fit degrees tried in turn on one range of angles.
+_FIT_DEGREES = (16, 32, 64, 128)
+#: When no degree fits the entries' whole range of angles, the lower end
+#: moves up in turn to the smallest angle from each of these fractions of the
+#: largest one, and the entries below it run the exact recursion.  Near the
+#: cusp at dot = 1 the kernel is too sharp in the angle for the last degree
+#: (vanilla kernel, depth 50-500), or the exact values too noisy.  With
+#: angles up to 1.4, fits pass from a lowest angle of about 1/1400 of the
+#: largest (injected kernel, and vanilla at depth 10), 1/140 (vanilla, depth
+#: 50-100) and 1/14 (vanilla, depth 500); each fraction lies just above one.
+_FIT_CUTS = (1 / 512, 1 / 64, 1 / 8)
 
 
 @dataclass(frozen=True)
@@ -73,8 +101,87 @@ def kernel_from_dots(
             raise ValueError(f"{kernel_tag} requires a depth")
         if kernel_tag == VANILLA_NTK and params.sigma_u_sq != 0.0:
             raise ValueError("vanilla kernel expects sigma_u_sq = 0")
-        return finite_depth_theta(dots, depth, params)
+        return _finite_depth_gram(dots, kernel_tag, params, depth)
     raise ValueError(f"unknown dense kernel tag {kernel_tag!r}")
+
+
+def _finite_depth_gram(dots, kernel_tag, params, depth):
+    """Finite-depth kernel values from a Chebyshev fit in phi = arccos(dot).
+
+    The kernel is smooth in phi, so it is interpolated on [phi_min, phi_max]
+    of the entries with dot < 1; entries with dot = 1 take the exact value
+    at 1.  When no degree fits that range, the lower end moves up (see
+    ``_FIT_CUTS``) and the entries below it run the exact recursion.  Ranges
+    of one angle, and ranges no lower end fits, run it on every entry.
+    Every kernel value comes from the module's ``finite_depth_theta``.
+    """
+    dots = np.asarray(dots, dtype=float)
+    flat = dots.reshape(-1)
+    out = np.empty(flat.shape)
+    lo, hi = np.pi, 0.0
+    for a in range(0, flat.size, _BLOCK):
+        phi = out[a : a + _BLOCK]
+        np.arccos(_as_correlation(flat[a : a + _BLOCK]), out=phi)
+        lo = min(lo, phi.min(where=phi > 0.0, initial=np.pi))
+        hi = max(hi, phi.max())
+    if not hi > lo:
+        return finite_depth_theta(dots, depth, params)
+    cut = lo
+    coef, at_one, err = _angle_fit(depth, params, cut, hi)
+    if err > FIT_TOL:
+        # the smallest angle from each fraction of phi_max on
+        cuts = {out.min(where=out >= f * hi, initial=hi) for f in _FIT_CUTS}
+        for cut in sorted(c for c in cuts if lo < c < hi):
+            coef, at_one, err = _angle_fit(depth, params, cut, hi)
+            if err <= FIT_TOL:
+                break
+    if err > FIT_TOL:
+        log.warning(
+            "%s depth %d: Chebyshev fit on angles [%.6g, %.6g] reached %.2e "
+            "relative at degree %d from lower end %.6g, above %.0e; running "
+            "the exact recursion",
+            kernel_tag, depth, lo, hi, err, coef.size - 1, cut, FIT_TOL,
+        )
+        return finite_depth_theta(dots, depth, params)
+    near = np.flatnonzero((out > 0.0) & (out < cut)) if cut > lo else []
+    mid, half = 0.5 * (hi + cut), 0.5 * (hi - cut)
+    for a in range(0, flat.size, _BLOCK):
+        phi = out[a : a + _BLOCK]
+        phi -= mid
+        phi /= half
+        phi[:] = chebyshev.chebval(phi, coef)
+        np.copyto(phi, at_one, where=flat[a : a + _BLOCK] >= 1.0)
+    if len(near):
+        out[near] = finite_depth_theta(flat[near], depth, params)
+        log.info(
+            "%s depth %d: Chebyshev fit on angles [%.6g, %.6g]; %d entries "
+            "below it ran the exact recursion",
+            kernel_tag, depth, cut, hi, len(near),
+        )
+    return out.reshape(dots.shape)
+
+
+def _angle_fit(depth, params, lo, hi):
+    """Chebyshev coefficients of the finite-depth kernel in u = (phi - mid) /
+    half on [lo, hi] = [mid - half, mid + half], the exact value at dot = 1
+    and the fit's relative error at its check points, for the first degree
+    in ``_FIT_DEGREES`` whose error is within ``FIT_TOL`` (else the last).
+
+    A degree-n fit interpolates at the n + 1 Chebyshev points of the first
+    kind and is checked at the n + 2 points interleaved with them, the
+    interval's ends included; one exact call gives both.
+    """
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    for n in _FIT_DEGREES:
+        u = np.cos(np.pi * np.arange(2 * n + 3) / (2 * n + 2))
+        values = finite_depth_theta(np.append(np.cos(mid + half * u), 1.0), depth, params)
+        at_one, values = values[-1], values[:-1]
+        coef = chebyshev.chebfit(u[1::2], values[1::2], n)
+        miss = np.max(np.abs(chebyshev.chebval(u[::2], coef) - values[::2]))
+        err = miss / max(np.max(np.abs(values)), np.finfo(float).tiny)
+        if err <= FIT_TOL:
+            break
+    return coef, at_one, err
 
 
 def _check_unit_rows(features: np.ndarray) -> None:
@@ -156,7 +263,7 @@ def regress_and_score(
     argmax predictions (ties to the lowest class index).  With reg_eps = 0
     no regularization or jitter is applied and a singular system is an
     error; with reg_eps > 0 a relative jitter ladder handles marginal
-    factorizations.
+    factorizations, and a step above 0 is logged as a warning.
     """
     if reg_eps < 0:
         raise ValueError("reg_eps must be nonnegative")
@@ -182,6 +289,8 @@ def regress_and_score(
             f"kernel system singular even after jitter ladder "
             f"(condition estimate {cond:.3e})"
         )
+    if jitter > 0.0:
+        log.warning("kernel system factorized with jitter %.0e x mean diagonal", jitter)
     predictions = np.argmax(np.asarray(cross) @ alpha, axis=1)
     test_labels = np.asarray(test_labels, dtype=int)
     return float(np.mean(predictions == test_labels))

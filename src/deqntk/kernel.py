@@ -303,11 +303,6 @@ def _fixed_point(dot, params: KernelParams):
     return s_all, rho_dot_all, sigma_dot_all, theta_all, iterations, residual_all
 
 
-def solve_rho_star(dot, params: KernelParams):
-    """Fixed point rho* of the covariance map for unit-norm inputs."""
-    return _maybe_scalar(_fixed_point(dot, params)[0], dot)
-
-
 def theta_deq_grid(dot, params: KernelParams):
     """Vectorized depth-limit kernel over an array of inner products."""
     return _maybe_scalar(_fixed_point(dot, params)[3], dot)

@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -114,6 +115,63 @@ class TestCifarLoader:
         img = np.zeros((1, 2, 2, 3))
         out = normalize_pixels(img)
         assert np.allclose(out, 1.0 / np.sqrt(3.0))
+
+    def test_normalize_pixels_leaves_its_input(self):
+        ints = np.arange(12, dtype=np.uint8).reshape(1, 2, 2, 3)
+        out = normalize_pixels(ints)
+        assert out.dtype == float and np.array_equal(ints.ravel(), np.arange(12))
+        assert np.allclose(np.linalg.norm(out, axis=-1), 1.0)
+        floats = ints / 255.0
+        kept = floats.copy()
+        again = normalize_pixels(floats)
+        assert again is not floats and np.array_equal(floats, kept)
+        assert np.allclose(again, out, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("normalization", [UNIT_SAMPLE, UNIT_PIXEL])
+    def test_one_float_copy_normalized_in_place(self, tmp_path, normalization):
+        write_cifar(tmp_path, n=200)
+        tracemalloc.start()
+        try:
+            ds = load_cifar10(tmp_path, normalization=normalization)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 copy, the per-pixel norms (a third of its size) and
+        # the file's bytes: 1.26x / 1.68x, where three or more float copies
+        # made 3.1x / 4.5x
+        assert peak < ds.features.nbytes * 2
+        raw = np.frombuffer((tmp_path / "data_batch_1.bin").read_bytes(), np.uint8)
+        img = raw.reshape(200, 3073)[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
+        img = img.astype(float) / 255.0
+        if normalization == UNIT_SAMPLE:
+            img = img.reshape(200, -1)
+            want = img / np.linalg.norm(img, axis=1, keepdims=True)
+        else:
+            norms = np.linalg.norm(img, axis=-1, keepdims=True)
+            want = np.where(norms == 0, 1 / np.sqrt(3), img / np.where(norms == 0, 1, norms))
+        assert np.max(np.abs(ds.features - want)) <= 1e-15
+
+    def test_limit_converts_only_the_first_records(self, tmp_path):
+        write_cifar(tmp_path, n=300)
+        first = tmp_path / "data_batch_1.bin"
+        (tmp_path / "data_batch_2.bin").write_bytes(b"not a batch")
+        tracemalloc.start()
+        try:
+            ds = load_cifar10(tmp_path, normalization=UNIT_PIXEL, limit=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the batch's bytes, not a float copy of its 300 images (7 MB)
+        assert peak < 2 * first.stat().st_size
+        assert ds.features.shape == (4, 32, 32, 3) and ds.source == str(first)
+        whole = load_cifar10(first, normalization=UNIT_PIXEL)
+        assert np.array_equal(ds.features, whole.features[:4])
+        assert np.array_equal(ds.labels, whole.labels[:4])
+        # a limit past the first batch reads the next one
+        with pytest.raises(DataFormatError):
+            load_cifar10(tmp_path, limit=301)
+        with pytest.raises(ValueError):
+            load_cifar10(tmp_path, limit=-1)
 
     def test_bad_label(self, tmp_path):
         write_cifar(tmp_path, bad_label=True)

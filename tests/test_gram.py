@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,18 +6,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from deqntk import ConvergenceError, DomainError, KernelParams, theta_deq
+from deqntk import (
+    LINEAR,
+    ConvergenceError,
+    DomainError,
+    KernelParams,
+    finite_depth_theta,
+    theta_deq,
+)
+from deqntk import gram
 from deqntk.conv import cdeq_kernel_pair
 from deqntk.gram import (
     CDEQ_NTK,
     DEQ_NTK,
     FINITE_DEPTH_NTK,
+    FIT_TOL,
     LINEAR_DEQ,
     VANILLA_NTK,
     assemble_gram,
     cross_gram,
     depth_sweep,
     encode_labels,
+    kernel_from_dots,
     regress_and_score,
     summarize_sweep,
     theta_vs_dot_sweep,
@@ -210,6 +221,190 @@ class TestRegression:
     def test_negative_reg_rejected(self):
         with pytest.raises(ValueError):
             regress_and_score(np.eye(3), np.eye(3), [0, 1, 2], [0, 1, 2], -1.0)
+
+    def test_jitter_step_is_logged(self, caplog):
+        # The ridge 1e-30 leaves the all-ones Gram singular; the ladder's
+        # first nonzero step factorizes it.
+        K = np.ones((10, 10))
+        labels = np.arange(10) % 10
+        with caplog.at_level(logging.WARNING, logger="deqntk"):
+            regress_and_score(np.eye(10), np.eye(10), labels, labels, 1e-30)
+            assert not caplog.records
+            regress_and_score(K, K, labels, labels, 1e-30)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.name == "deqntk.gram"
+        assert "jitter 1e-10" in record.getMessage()
+
+
+def data_dots(n=50, m=200, seed=0):
+    """Self dot matrix of nonnegative pixel-like rows: angles well inside
+    (0, pi/2), diagonal exactly 1."""
+    rng = np.random.default_rng(seed)
+    X = 0.4 + 0.6 * rng.random((n, m)) ** 4
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    dots = np.clip(X @ X.T, -1.0, 1.0)
+    np.fill_diagonal(dots, 1.0)
+    return dots
+
+
+def wide_dots(n=2000, seed=0):
+    """Dots over all of [-1, 1), -1 itself included."""
+    dots = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    dots[0] = -1.0
+    return dots
+
+
+FIT_CASES = {
+    FINITE_DEPTH_NTK: [
+        KernelParams(0.6, 0.4),
+        KernelParams(0.6, 0.4, activation=LINEAR),
+        KernelParams(0.5, 0.3, sigma_b_sq=0.4),
+        KernelParams(0.0, 0.7),
+    ],
+    VANILLA_NTK: [
+        KernelParams(1.0, 0.0),
+        KernelParams(1.0, 0.0, activation=LINEAR),
+        KernelParams(0.8, 0.0, sigma_b_sq=0.5),
+        KernelParams(0.0, 0.0),  # the diagonal vanishes: a zero kernel
+    ],
+}
+
+
+def mp_finite_depth(dot, depth, p):
+    """Finite-depth kernel of one pair by the layer recursion in mpmath at
+    40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    sw2, su2, sb2 = (mp.mpf(v) for v in (p.sigma_w_sq, p.sigma_u_sq, p.sigma_b_sq))
+    dot = mp.mpf(float(dot))
+    diag, cov, theta = mp.mpf(1), dot, dot
+    for layer in range(depth + 1):
+        rho = cov / diag
+        if p.activation == LINEAR:
+            k0, k1 = mp.mpf(1), rho
+        else:
+            k0 = (mp.pi - mp.acos(rho)) / mp.pi
+            k1 = (mp.sqrt(1 - rho * rho) + mp.pi * k0 * rho) / mp.pi
+        if layer == depth:
+            return float(mp.mpf(p.sigma_v_sq) * (k0 * theta + diag * k1))
+        cov = sw2 * diag * k1 + su2 * dot + sb2
+        theta = sw2 * k0 * theta + cov
+        diag = sw2 * diag + su2 + sb2
+
+
+def count_exact_entries(monkeypatch):
+    """Record the size of every ``gram.finite_depth_theta`` call."""
+    sizes = []
+    exact = gram.finite_depth_theta
+
+    def counted(dot, *args, **kwargs):
+        sizes.append(np.size(dot))
+        return exact(dot, *args, **kwargs)
+
+    monkeypatch.setattr(gram, "finite_depth_theta", counted)
+    return sizes
+
+
+class TestFiniteDepthFit:
+    @pytest.mark.parametrize("depth", [0, 1, 10, 50, 500])
+    @pytest.mark.parametrize("tag", [FINITE_DEPTH_NTK, VANILLA_NTK])
+    def test_matches_exact_within_tolerance(self, tag, depth, monkeypatch):
+        for p in FIT_CASES[tag]:
+            for dots, fitted in ((data_dots(), True), (wide_dots(), False)):
+                sizes = count_exact_entries(monkeypatch)
+                got = kernel_from_dots(dots, tag, p, depth)
+                monkeypatch.undo()
+                want = finite_depth_theta(dots, depth, p)
+                assert got.shape == dots.shape
+                bound = FIT_TOL * np.max(np.abs(want))
+                worst = np.unravel_index(np.argmax(np.abs(got - want)), dots.shape)
+                if abs(got[worst] - want[worst]) > bound:
+                    # The exact recursion has rounding errors of its own
+                    # (1.6e-11 relative at sb2 > 0, depth 50, where the
+                    # correlations approach 1); the fit must then be within
+                    # the tolerance of the 40-digit value.
+                    truth = mp_finite_depth(dots[worst], depth, p)
+                    assert abs(got[worst] - truth) <= bound, (p, depth, worst)
+                if fitted:
+                    # the recursion saw the fit's points, not the entries
+                    assert max(sizes) < dots.size / 10, (p, depth, sizes)
+
+    @pytest.mark.parametrize("depth", [1, 50])
+    @pytest.mark.parametrize("tag", [FINITE_DEPTH_NTK, VANILLA_NTK])
+    def test_exact_where_dot_is_one(self, tag, depth, monkeypatch):
+        p = FIT_CASES[tag][0]
+        dots = data_dots()
+        sizes = count_exact_entries(monkeypatch)
+        got = kernel_from_dots(dots, tag, p, depth)
+        assert max(sizes) < dots.size
+        assert np.all(np.diag(got) == finite_depth_theta(1.0, depth, p))
+
+    @pytest.mark.parametrize("depth", [10, 50, 500])
+    @pytest.mark.parametrize("tag", [FINITE_DEPTH_NTK, VANILLA_NTK])
+    def test_near_duplicates_alone_run_exact(self, tag, depth, monkeypatch, caplog):
+        # A duplicated sample comes out of BLAS one ulp below 1.  The fit over
+        # the whole range fails there; only the entries below the lower end
+        # that passes may run the recursion, the rest stays fitted.
+        p = FIT_CASES[tag][0]
+        dots = data_dots(n=100)
+        near = [(0, 1), (1, 0), (2, 3), (3, 2)]
+        dots[0, 1] = dots[1, 0] = 1.0 - 2.0**-52
+        dots[2, 3] = dots[3, 2] = np.cos(1e-5)
+        sizes = count_exact_entries(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="deqntk"):
+            got = kernel_from_dots(dots, tag, p, depth)
+        monkeypatch.undo()
+        want = finite_depth_theta(dots, depth, p)
+        assert sizes[-1] == len(near) and max(sizes) < dots.size / 10, sizes
+        for ij in near:
+            assert got[ij] == want[ij]
+        mask = np.ones(dots.shape, dtype=bool)
+        mask[tuple(zip(*near))] = False
+        assert np.max(np.abs(got - want)[mask]) <= FIT_TOL * np.max(want)
+        [record] = caplog.records
+        assert record.levelno == logging.INFO
+        assert "4 entries below it ran the exact recursion" in record.getMessage()
+
+    def test_degree_doubles_until_the_check_passes(self, monkeypatch, caplog):
+        # Over angles [0.045, pi] the vanilla kernel at depth 50 needs degree
+        # 64; each try runs the recursion on n + 1 nodes, n + 2 check points
+        # and dot = 1.
+        p = KernelParams(1.0, 0.0)
+        dots = wide_dots()
+        sizes = count_exact_entries(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="deqntk"):
+            got = kernel_from_dots(dots, VANILLA_NTK, p, 50)
+        assert sizes == [36, 68, 132] and not caplog.records
+        want = finite_depth_theta(dots, 50, p)
+        assert np.max(np.abs(got - want)) <= FIT_TOL * np.max(want)
+
+    def test_fallback_is_logged_and_exact(self, caplog):
+        # Angles in [0.001, 0.05]: the vanilla kernel at depth 500 has a pole
+        # near the cusp, and no degree up to the cap meets FIT_TOL from any
+        # lower end tried.
+        p = KernelParams(1.0, 0.0)
+        dots = np.cos(np.linspace(0.001, 0.05, 2000))
+        with caplog.at_level(logging.WARNING, logger="deqntk"):
+            got = kernel_from_dots(dots, VANILLA_NTK, p, 500)
+        assert np.array_equal(got, finite_depth_theta(dots, 500, p))
+        [record] = caplog.records
+        message = record.getMessage()
+        assert record.name == "deqntk.gram"
+        assert "vanilla-ntk depth 500" in message
+        assert "angles [0.001, 0.05]" in message
+        assert "at degree 128 from lower end 0.00627" in message
+
+    def test_vanilla_depth_500_against_mpmath(self, caplog):
+        p = KernelParams(1.0, 0.0)
+        dots = np.linspace(0.3, 0.9, 2001)
+        with caplog.at_level(logging.WARNING, logger="deqntk"):
+            got = kernel_from_dots(dots, VANILLA_NTK, p, 500)
+        assert not caplog.records
+        for i in (0, 1000, 2000):
+            want = mp_finite_depth(dots[i], 500, p)
+            assert abs(got[i] - want) <= 1e-11 * abs(want), (dots[i], got[i], want)
 
 
 class TestSweeps:

@@ -14,7 +14,6 @@ from deqntk import (
     dual_activation_dot,
     finite_depth_ntk,
     finite_depth_theta,
-    solve_rho_star,
     theta_deq,
     theta_deq_grid,
     theta_linear_deq,
@@ -22,6 +21,13 @@ from deqntk import (
 from deqntk.kernel import _BLOCK, _fixed_point
 
 P_HALF = KernelParams(sigma_w_sq=0.5, sigma_u_sq=0.5)
+
+
+def solve_rho_star(dot, params):
+    """Fixed point s* of the covariance map, rho* under the unit-sum
+    initialization; scalar in, scalar out."""
+    s = _fixed_point(dot, params)[0]
+    return float(s) if np.isscalar(dot) else s
 
 
 class TestDualActivations:
