@@ -1,12 +1,20 @@
 """Command-line entry points producing the experiment artifacts as CSV.
 
-Settings resolve in order: built-in default, then the config file (a flat
-``key = value`` text file given with --config), then explicit flags.  Every
-command that writes files also records a manifest (settings, seed, git
-revision, wall time) sufficient to re-run it bit-identically.
+Every subcommand is a body registered with ``command``.  The body computes
+and prints; it returns the files it writes (file name -> writer taking a
+path) and any manifest entries of its own.  One runner does the rest: it
+times the run, writes the files and the manifest under --out, and turns
+an exception into an error message and an exit code.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.
+Settings resolve in click's order: the option's default, then the config
+file, then explicit flags.  The config file (--config) is a flat
+``key = value`` text file whose keys are option names, with dashes or
+underscores; it may set --out too.  Whenever --out is given, a manifest
+records every resolved option, the command's own entries, the version,
+the git revision and the wall time, enough to re-run it bit-identically.
+
+Errors print as ``error: <command>: <message>``.  Exit codes: 0 success,
+2 configuration error, 3 data error, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -17,7 +25,6 @@ from pathlib import Path
 
 import click
 import numpy as np
-import scipy.linalg
 
 from . import __version__
 from .data import (
@@ -27,7 +34,7 @@ from .data import (
     load_mnist,
 )
 from .empirical import ift_ntk_pair, make_weights, empirical_spectrum, resolvent_trace
-from .errors import ConvergenceError, DataFormatError, DomainError, SingularityError
+from .errors import ConvergenceError, DataFormatError, SingularityError
 from .gram import (
     CDEQ_NTK,
     DEQ_NTK,
@@ -39,7 +46,7 @@ from .gram import (
     theta_vs_dot_sweep,
     write_rows_csv,
 )
-from .kernel import theta_deq, theta_linear_deq
+from .kernel import theta_deq
 from .params import LINEAR, NORMALIZED_RELU, KernelParams
 from .spectra import density_table, write_density_csv
 
@@ -47,35 +54,10 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_CONFIG_ERRORS = (ValueError, DomainError, click.ClickException)
+# Matched before the configuration errors: np.linalg.LinAlgError (which
+# scipy.linalg re-exports) is a ValueError.
+_NUMERIC_ERRORS = (ConvergenceError, SingularityError, np.linalg.LinAlgError)
 _DATA_ERRORS = (DataFormatError, FileNotFoundError)
-_NUMERIC_ERRORS = (
-    ConvergenceError,
-    SingularityError,
-    np.linalg.LinAlgError,
-    scipy.linalg.LinAlgError,
-)
-
-
-def _fail(code: int, exc: BaseException):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(code)
-
-
-def _guard(fn):
-    def wrapped(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except _NUMERIC_ERRORS as exc:
-            _fail(EXIT_NUMERIC, exc)
-        except _DATA_ERRORS as exc:
-            _fail(EXIT_DATA, exc)
-        except _CONFIG_ERRORS as exc:
-            _fail(EXIT_CONFIG, exc)
-
-    wrapped.__name__ = fn.__name__
-    wrapped.__doc__ = fn.__doc__
-    return wrapped
 
 
 def read_config(path) -> dict:
@@ -92,18 +74,14 @@ def read_config(path) -> dict:
     return settings
 
 
-class _Resolver:
-    """Merges config-file values under explicit flag values."""
-
-    def __init__(self, config_path):
-        self.settings = read_config(config_path) if config_path else {}
-
-    def get(self, key, flag_value, default, cast=float):
-        if flag_value is not None:
-            return flag_value
-        if key in self.settings:
-            return cast(self.settings[key])
-        return default
+def _load_config(ctx, param, path):
+    """The config file's settings become the defaults of the command's
+    options, so click converts them with each option's type."""
+    if path is not None:
+        try:
+            ctx.default_map = read_config(path)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), ctx, param) from exc
 
 
 def _git_revision() -> str:
@@ -128,14 +106,9 @@ def write_manifest(outdir: Path, command: str, settings: dict, elapsed: float):
     (outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _params(sw2, su2, sb2, sv2, activation) -> KernelParams:
-    return KernelParams(
-        sigma_w_sq=sw2,
-        sigma_u_sq=su2,
-        sigma_b_sq=sb2,
-        sigma_v_sq=sv2,
-        activation=activation,
-    )
+def _fail(command: str, code: int, exc: BaseException):
+    click.echo(f"error: {command}: {exc}", err=True)
+    sys.exit(code)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -148,281 +121,204 @@ def main():
     """Equilibrium-network kernel computations and experiments."""
 
 
-_shared = [
-    click.option("--config", type=click.Path(exists=True), default=None,
-                 help="flat key=value settings file; flags override it"),
-    click.option("--sw2", type=float, default=None, help="recurrent weight variance"),
-    click.option("--su2", type=float, default=None, help="input injection variance"),
-    click.option("--sb2", type=float, default=None, help="bias variance"),
-    click.option("--sv2", type=float, default=None, help="readout variance"),
-    click.option("--activation", type=click.Choice([NORMALIZED_RELU, LINEAR]),
-                 default=None),
-]
+def _kernel_options(sw2: float, su2: float) -> list[click.Option]:
+    """In the order of ``KernelParams``' fields."""
+    return [
+        click.Option(["--sw2"], type=float, default=sw2, help="recurrent weight variance"),
+        click.Option(["--su2"], type=float, default=su2, help="input injection variance"),
+        click.Option(["--sb2"], type=float, default=0.0, help="bias variance"),
+        click.Option(["--sv2"], type=float, default=1.0, help="readout variance"),
+        click.Option(["--activation"], type=click.Choice([NORMALIZED_RELU, LINEAR]),
+                     default=NORMALIZED_RELU),
+    ]
 
 
-def shared_options(fn):
-    for opt in reversed(_shared):
-        fn = opt(fn)
-    return fn
+def command(name: str | None = None, kernel: tuple[float, float] | None = None,
+            out_required: bool = False):
+    """Register the decorated body as a ``deqntk`` subcommand.
+
+    The body's own options are ``click.option`` decorators below this one.
+    ``kernel=(sw2, su2)`` adds the five kernel options with those defaults
+    and passes them to the body as ``params: KernelParams``.  The body
+    returns ``(files, extras)``: file name -> writer taking a path, and
+    manifest entries that add to or replace the resolved options.
+    """
+    def register(body):
+        cmd = name or body.__name__
+        kernel_options = _kernel_options(*kernel) if kernel else []
+
+        def run(out, **settings):
+            start = time.monotonic()
+            try:
+                args = dict(settings)
+                if kernel_options:
+                    args["params"] = KernelParams(*(args.pop(o.name) for o in kernel_options))
+                files, extras = body(**args)
+                if out is not None:
+                    outdir = Path(out)
+                    outdir.mkdir(parents=True, exist_ok=True)
+                    for file_name, write in files.items():
+                        write(outdir / file_name)
+                    write_manifest(outdir, cmd, {**settings, **extras},
+                                   time.monotonic() - start)
+            except _NUMERIC_ERRORS as exc:
+                _fail(cmd, EXIT_NUMERIC, exc)
+            except _DATA_ERRORS as exc:
+                _fail(cmd, EXIT_DATA, exc)
+            except ValueError as exc:
+                _fail(cmd, EXIT_CONFIG, exc)
+
+        params = [click.Option(
+            ["--config"], type=click.Path(exists=True, dir_okay=False),
+            is_eager=True, expose_value=False, callback=_load_config,
+            help="flat key = value settings file; flags override it",
+        )]
+        params += kernel_options
+        params += reversed(body.__click_params__)
+        params.append(click.Option(["--out"], type=click.Path(), required=out_required,
+                                   help="output directory"))
+        cli_command = click.Command(cmd, callback=run, params=params, help=body.__doc__)
+        main.add_command(cli_command)
+        return cli_command
+
+    return register
 
 
-def _resolve_params(cfg: _Resolver, sw2, su2, sb2, sv2, activation,
-                    default_sw2=0.5, default_su2=0.5) -> KernelParams:
-    return _params(
-        cfg.get("sw2", sw2, default_sw2),
-        cfg.get("su2", su2, default_su2),
-        cfg.get("sb2", sb2, 0.0),
-        cfg.get("sv2", sv2, 1.0),
-        cfg.get("activation", activation, NORMALIZED_RELU, cast=str),
-    )
+def _csv(rows, fields):
+    return lambda path: write_rows_csv(rows, path, fields)
 
 
-@main.command()
-@shared_options
-@click.option("--dot", type=float, default=None, help="inner product of the pair")
+@command(kernel=(0.5, 0.5))
+@click.option("--dot", type=float, default=0.0, help="inner product of the pair")
 @click.option("--sweep-depths", default=None,
               help="comma list; also tabulate pre-readout kernel vs dot per depth")
-@click.option("--out", type=click.Path(), default=None, help="output directory")
-@_guard
-def kernel(config, sw2, su2, sb2, sv2, activation, dot, sweep_depths, out):
+def kernel(params, dot, sweep_depths):
     """Fixed-point kernel value for one inner product (and optional sweep)."""
-    start = time.monotonic()
-    cfg = _Resolver(config)
-    params = _resolve_params(cfg, sw2, su2, sb2, sv2, activation)
-    dot = cfg.get("dot", dot, 0.0)
-    if params.activation == LINEAR:
-        theta = float(theta_linear_deq(dot, params))
-        click.echo(f"theta = {theta:.17g}")
-    else:
-        res = theta_deq(dot, params)
-        click.echo(f"theta = {res.theta:.17g}")
-        click.echo(f"rho_star = {res.rho_star:.17g}")
-        click.echo(f"sigma_dot_star = {res.sigma_dot_star:.17g}")
-    sweep_depths = cfg.get("sweep_depths", sweep_depths, None, cast=str)
-    if sweep_depths:
-        if out is None:
-            raise ValueError("--sweep-depths requires --out")
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        rows = theta_vs_dot_sweep(params, _parse_int_list(sweep_depths))
-        write_rows_csv(rows, outdir / "theta_vs_dot.csv", ["dot", "depth", "theta"])
-        write_manifest(outdir, "kernel", {
-            "dot": dot, "sweep_depths": sweep_depths, **_params_dict(params),
-        }, time.monotonic() - start)
+    res = theta_deq(dot, params)
+    click.echo(f"theta = {res.theta:.17g}")
+    click.echo(f"rho_star = {res.rho_star:.17g}")
+    click.echo(f"sigma_dot_star = {res.sigma_dot_star:.17g}")
+    if not sweep_depths:
+        return {}, {}
+    if click.get_current_context().params["out"] is None:
+        raise ValueError("--sweep-depths requires --out")
+    rows = theta_vs_dot_sweep(params, _parse_int_list(sweep_depths))
+    return {"theta_vs_dot.csv": _csv(rows, ["dot", "depth", "theta"])}, {}
 
 
-def _params_dict(params: KernelParams) -> dict:
-    return {
-        "sw2": params.sigma_w_sq,
-        "su2": params.sigma_u_sq,
-        "sb2": params.sigma_b_sq,
-        "sv2": params.sigma_v_sq,
-        "activation": params.activation,
-    }
-
-
-@main.command("depth-sweep")
-@shared_options
+@command("depth-sweep", kernel=(0.6, 0.4), out_required=True)
 @click.option("--data", type=click.Path(), default=None,
               help="CIFAR-10 batch file or directory (env default otherwise)")
-@click.option("--n-train", type=int, default=None)
-@click.option("--n-test", type=int, default=None)
-@click.option("--depths", default=None, help="comma list of depths")
-@click.option("--reps", type=int, default=None)
-@click.option("--reg-eps", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), required=True)
-@_guard
-def depth_sweep_cmd(config, sw2, su2, sb2, sv2, activation, data, n_train,
-                    n_test, depths, reps, reg_eps, seed, out):
+@click.option("--n-train", type=int, default=1000)
+@click.option("--n-test", type=int, default=100)
+@click.option("--depths", default="10,50,100,500", help="comma list of depths")
+@click.option("--reps", type=int, default=5)
+@click.option("--reg-eps", type=float, default=1e-4)
+@click.option("--seed", type=int, default=0)
+def depth_sweep_cmd(params, data, n_train, n_test, depths, reps, reg_eps, seed):
     """Accuracy of injected vs vanilla finite-depth kernels across depths."""
-    start = time.monotonic()
-    cfg = _Resolver(config)
-    params_deq = _resolve_params(cfg, sw2, su2, sb2, sv2, activation,
-                                 default_sw2=0.6, default_su2=0.4)
     params_vanilla = KernelParams(
-        sigma_w_sq=1.0, sigma_u_sq=0.0, sigma_v_sq=params_deq.sigma_v_sq,
-        activation=params_deq.activation,
+        sigma_w_sq=1.0, sigma_u_sq=0.0, sigma_v_sq=params.sigma_v_sq,
+        activation=params.activation,
     )
-    n_train = int(cfg.get("n_train", n_train, 1000, cast=int))
-    n_test = int(cfg.get("n_test", n_test, 100, cast=int))
-    depth_list = _parse_int_list(cfg.get("depths", depths, "10,50,100,500", cast=str))
-    reps = int(cfg.get("reps", reps, 5, cast=int))
-    reg_eps = cfg.get("reg_eps", reg_eps, 1e-4)
-    seed = int(cfg.get("seed", seed, 0, cast=int))
-
-    ds = load_cifar10(cfg.get("data", data, None, cast=str),
-                      normalization=UNIT_SAMPLE)
-    rows = depth_sweep(ds.features, ds.labels, depth_list, params_deq,
+    depth_list = _parse_int_list(depths)
+    ds = load_cifar10(data, normalization=UNIT_SAMPLE)
+    rows = depth_sweep(ds.features, ds.labels, depth_list, params,
                        params_vanilla, reps, n_train, n_test,
                        reg_eps=reg_eps, seed=seed)
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_rows_csv(rows, outdir / "depth_sweep.csv",
-                   ["kernel", "depth", "rep", "accuracy"])
     summary = summarize_sweep(rows)
-    write_rows_csv(summary, outdir / "depth_sweep_summary.csv",
-                   ["kernel", "depth", "mean_accuracy", "ci_low", "ci_high"])
     for row in summary:
         click.echo(
             f"{row['kernel']} depth={row['depth']} "
             f"acc={row['mean_accuracy']:.4f} "
             f"[{row['ci_low']:.4f}, {row['ci_high']:.4f}]"
         )
-    write_manifest(outdir, "depth-sweep", {
-        "n_train": n_train, "n_test": n_test, "reps": reps,
-        "depths": ",".join(map(str, depth_list)), "reg_eps": reg_eps,
-        "seed": seed, "data": ds.source, **_params_dict(params_deq),
-    }, time.monotonic() - start)
+    return {
+        "depth_sweep.csv": _csv(rows, ["kernel", "depth", "rep", "accuracy"]),
+        "depth_sweep_summary.csv": _csv(
+            summary, ["kernel", "depth", "mean_accuracy", "ci_low", "ci_high"]),
+    }, {"data": ds.source}
 
 
-@main.command()
-@shared_options
-@click.option("--widths", default=None, help="comma list of hidden widths")
-@click.option("--seeds", type=int, default=None, help="number of seeds per width")
-@click.option("--input-dim", type=int, default=None)
-@click.option("--out", type=click.Path(), required=True)
-@_guard
-def residual(config, sw2, su2, sb2, sv2, activation, widths, seeds, input_dim, out):
+@command(kernel=(0.5, 0.5), out_required=True)
+@click.option("--widths", default="64,256,1024", help="comma list of hidden widths")
+@click.option("--seeds", type=int, default=10, help="number of seeds per width")
+@click.option("--input-dim", type=int, default=10)
+def residual(params, widths, seeds, input_dim):
     """Relative error of finite-width empirical kernels against the limit."""
-    start = time.monotonic()
-    cfg = _Resolver(config)
-    params = _resolve_params(cfg, sw2, su2, sb2, sv2, activation)
-    width_list = _parse_int_list(cfg.get("widths", widths, "64,256,1024", cast=str))
-    seeds = int(cfg.get("seeds", seeds, 10, cast=int))
-    m = int(cfg.get("input_dim", input_dim, 10, cast=int))
-
+    width_list = _parse_int_list(widths)
     rows = []
     for n in width_list:
         for seed in range(seeds):
             rng = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence([seed, 17]))
             )
-            x = rng.standard_normal(m)
-            y = rng.standard_normal(m)
+            x = rng.standard_normal(input_dim)
+            y = rng.standard_normal(input_dim)
             x /= np.linalg.norm(x)
             y /= np.linalg.norm(y)
-            dot = float(np.clip(x @ y, -1.0, 1.0))
-            if params.activation == LINEAR:
-                theory = float(theta_linear_deq(dot, params))
-            else:
-                theory = theta_deq(dot, params).theta
-            weights = make_weights(n, m, seed, params)
-            emp = ift_ntk_pair(weights, x, y).total
+            theory = theta_deq(float(np.clip(x @ y, -1.0, 1.0)), params).theta
+            emp = ift_ntk_pair(make_weights(n, input_dim, seed, params), x, y).total
             rows.append({
                 "width": n, "seed": seed,
                 "relative_error": abs(emp - theory) / abs(theory),
             })
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_rows_csv(rows, outdir / "residual.csv",
-                   ["width", "seed", "relative_error"])
     for n in width_list:
         errs = [r["relative_error"] for r in rows if r["width"] == n]
         click.echo(f"width={n} median relative error {np.median(errs):.4f}")
-    write_manifest(outdir, "residual", {
-        "widths": ",".join(map(str, width_list)), "seeds": seeds,
-        "input_dim": m, **_params_dict(params),
-    }, time.monotonic() - start)
+    return {"residual.csv": _csv(rows, ["width", "seed", "relative_error"])}, {}
 
 
-@main.command()
-@click.option("--config", type=click.Path(exists=True), default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--sw2", type=float, default=None)
-@click.option("--trials", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@_guard
-def trace(config, n, sw2, trials, seed, out):
+@command()
+@click.option("--n", type=int, default=5000)
+@click.option("--sw2", type=float, default=0.25)
+@click.option("--trials", type=int, default=10)
+@click.option("--seed", type=int, default=0)
+def trace(n, sw2, trials, seed):
     """Normalized trace of the squared inverse of I - sqrt(sw2/n) W."""
-    start = time.monotonic()
-    cfg = _Resolver(config)
-    n = int(cfg.get("n", n, 5000, cast=int))
-    sw2 = cfg.get("sw2", sw2, 0.25)
-    trials = int(cfg.get("trials", trials, 10, cast=int))
-    seed = int(cfg.get("seed", seed, 0, cast=int))
     if not 0.0 <= sw2 < 1.0:
         raise ValueError("sw2 must lie in [0, 1) for an invertible limit")
     values = [resolvent_trace(n, sw2, seed + t) for t in range(trials)]
-    mean = float(np.mean(values))
-    click.echo(f"mean trace = {mean:.6f} (target {1.0 / (1.0 - sw2):.6f}), "
+    click.echo(f"mean trace = {float(np.mean(values)):.6f} "
+               f"(target {1.0 / (1.0 - sw2):.6f}), "
                f"std {np.std(values, ddof=1) if trials > 1 else 0.0:.2e}")
-    if out:
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        rows = [{"trial": t, "value": float(v)} for t, v in enumerate(values)]
-        write_rows_csv(rows, outdir / "trace.csv", ["trial", "value"])
-        write_manifest(outdir, "trace", {
-            "n": n, "sw2": sw2, "trials": trials, "seed": seed,
-        }, time.monotonic() - start)
+    rows = [{"trial": t, "value": float(v)} for t, v in enumerate(values)]
+    return {"trace.csv": _csv(rows, ["trial", "value"])}, {}
 
 
-@main.command()
-@click.option("--config", type=click.Path(exists=True), default=None)
-@click.option("--sw2", type=float, default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), required=True)
-@_guard
-def spectrum(config, sw2, n, seed, out):
+@command(out_required=True)
+@click.option("--sw2", type=float, default=0.25)
+@click.option("--n", type=int, default=1000)
+@click.option("--seed", type=int, default=0)
+def spectrum(sw2, n, seed):
     """Empirical vs limiting eigenvalue distributions (two CSV tables)."""
-    start = time.monotonic()
-    cfg = _Resolver(config)
-    sw2 = cfg.get("sw2", sw2, 0.25)
-    n = int(cfg.get("n", n, 1000, cast=int))
-    seed = int(cfg.get("seed", seed, 0, cast=int))
-
     params = KernelParams(sigma_w_sq=sw2, sigma_u_sq=1.0 - sw2)
-    weights = make_weights(n, 1, seed, params)
-    eigs = empirical_spectrum(weights)
+    eigs = empirical_spectrum(make_weights(n, 1, seed, params))
     table = density_table(sw2)
-
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = [{"index": i, "eigenvalue": float(v)} for i, v in enumerate(eigs)]
-    write_rows_csv(rows, outdir / "empirical_spectrum.csv", ["index", "eigenvalue"])
-    write_density_csv(table, outdir / "limiting_density.csv")
-
     emp_cdf_at = np.searchsorted(eigs, eigs, side="right") / n
-    limit_cdf_at = table.cdf(eigs)
-    sup_dist = float(np.max(np.abs(emp_cdf_at - limit_cdf_at)))
+    sup_dist = float(np.max(np.abs(emp_cdf_at - table.cdf(eigs))))
     click.echo(f"CDF sup-distance = {sup_dist:.4f}")
-    write_manifest(outdir, "spectrum", {
-        "sw2": sw2, "n": n, "seed": seed, "cdf_sup_distance": sup_dist,
-    }, time.monotonic() - start)
+    rows = [{"index": i, "eigenvalue": float(v)} for i, v in enumerate(eigs)]
+    return {
+        "empirical_spectrum.csv": _csv(rows, ["index", "eigenvalue"]),
+        "limiting_density.csv": lambda path: write_density_csv(table, path),
+    }, {"cdf_sup_distance": sup_dist}
 
 
-@main.command()
-@shared_options
-@click.option("--dataset", type=click.Choice(["mnist", "cifar10"]), default=None)
+@command(kernel=(0.6, 0.4))
+@click.option("--dataset", type=click.Choice(["mnist", "cifar10"]), default="mnist")
 @click.option("--path", type=click.Path(), default=None)
-@click.option("--n-train", type=int, default=None)
-@click.option("--n-test", type=int, default=None)
-@click.option("--reg-eps", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@_guard
-def regress(config, sw2, su2, sb2, sv2, activation, dataset, path, n_train,
-            n_test, reg_eps, seed, out):
+@click.option("--n-train", type=int, default=2000)
+@click.option("--n-test", type=int, default=1000)
+@click.option("--reg-eps", type=float, default=0.0)
+@click.option("--seed", type=int, default=0)
+def regress(params, dataset, path, n_train, n_test, reg_eps, seed):
     """Fixed-point kernel regression accuracy on a dataset subset."""
-    start = time.monotonic()
-    cfg = _Resolver(config)
-    params = _resolve_params(cfg, sw2, su2, sb2, sv2, activation,
-                             default_sw2=0.6, default_su2=0.4)
-    dataset = cfg.get("dataset", dataset, "mnist", cast=str)
-    path = cfg.get("path", path, None, cast=str)
-    n_train = int(cfg.get("n_train", n_train, 2000, cast=int))
-    n_test = int(cfg.get("n_test", n_test, 1000, cast=int))
-    reg_eps = cfg.get("reg_eps", reg_eps, 0.0)
-    seed = int(cfg.get("seed", seed, 0, cast=int))
-
     if dataset == "mnist":
         ds = load_mnist(path, split="train")
     else:
         ds = load_cifar10(path, normalization=UNIT_SAMPLE)
-    rng = np.random.default_rng(seed)
-    idx = rng.permutation(ds.features.shape[0])
+    idx = np.random.default_rng(seed).permutation(ds.features.shape[0])
     tr = idx[:n_train]
     te = idx[n_train : n_train + n_test]
 
@@ -430,71 +326,39 @@ def regress(config, sw2, su2, sb2, sv2, activation, dataset, path, n_train,
     C = cross_gram(ds.features[te], ds.features[tr], DEQ_NTK, params)
     acc = regress_and_score(G.values, C, ds.labels[tr], ds.labels[te], reg_eps)
     click.echo(f"accuracy = {acc:.4f}")
-    if out:
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_rows_csv([{"accuracy": acc}], outdir / "regress.csv", ["accuracy"])
-        write_manifest(outdir, "regress", {
-            "dataset": dataset, "data": ds.source, "n_train": n_train,
-            "n_test": n_test, "reg_eps": reg_eps, "seed": seed,
-            **_params_dict(params),
-        }, time.monotonic() - start)
+    return {"regress.csv": _csv([{"accuracy": acc}], ["accuracy"])}, {"data": ds.source}
 
 
-@main.command()
-@shared_options
+@command(kernel=(0.65, 0.35))
 @click.option("--data", type=click.Path(), default=None,
               help="CIFAR-10 batch file or directory; random images otherwise")
-@click.option("--size", type=int, default=None,
-              help="side length of the random images")
-@click.option("--filter-size", type=int, default=None)
-@click.option("--images", type=int, default=None)
-@click.option("--channels", type=int, default=None,
-              help="channels of the random images")
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-@_guard
-def cdeq(config, sw2, su2, sb2, sv2, activation, data, size, filter_size,
-         images, channels, seed, out):
+@click.option("--size", type=int, default=8, help="side length of the random images")
+@click.option("--filter-size", type=int, default=3)
+@click.option("--images", type=int, default=8)
+@click.option("--channels", type=int, default=3, help="channels of the random images")
+@click.option("--seed", type=int, default=0)
+def cdeq(params, data, size, filter_size, images, channels, seed):
     """Convolutional kernel Gram over unit-pixel images: the first --images
     CIFAR-10 images with --data, random ones otherwise."""
-    start = time.monotonic()
-    cfg = _Resolver(config)
-    params = _resolve_params(cfg, sw2, su2, sb2, sv2, activation,
-                             default_sw2=0.65, default_su2=0.35)
-    data = cfg.get("data", data, None, cast=str)
-    size = int(cfg.get("size", size, 8, cast=int))
-    q = int(cfg.get("filter_size", filter_size, 3, cast=int))
-    count = int(cfg.get("images", images, 8, cast=int))
-    channels = int(cfg.get("channels", channels, 3, cast=int))
-    seed = int(cfg.get("seed", seed, 0, cast=int))
-
     if data is None:
-        rng = np.random.default_rng(seed)
-        imgs = rng.standard_normal((count, size, size, channels))
+        imgs = np.random.default_rng(seed).standard_normal((images, size, size, channels))
         imgs /= np.linalg.norm(imgs, axis=-1, keepdims=True)
-        source = "random"
+        extras = {"data": "random"}
     else:
-        ds = load_cifar10(data, normalization=UNIT_PIXEL, limit=count)
-        if count > ds.features.shape[0]:
+        ds = load_cifar10(data, normalization=UNIT_PIXEL, limit=images)
+        if images > ds.features.shape[0]:
             raise ValueError(
-                f"--images {count} exceeds the {ds.features.shape[0]} images "
+                f"--images {images} exceeds the {ds.features.shape[0]} images "
                 f"in {ds.source}"
             )
         imgs = ds.features
-        size, channels = imgs.shape[1], imgs.shape[3]
-        source = ds.source
-    G = assemble_gram(imgs, CDEQ_NTK, params, filter_size=q)
+        extras = {"data": ds.source, "size": imgs.shape[1], "channels": imgs.shape[3]}
+    G = assemble_gram(imgs, CDEQ_NTK, params, filter_size=filter_size)
     eigs = np.linalg.eigvalsh(G.values)
     click.echo(f"gram min eigenvalue {eigs[0]:.6g}, max {eigs[-1]:.6g}")
-    if out:
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        np.savetxt(outdir / "cdeq_gram.csv", G.values, delimiter=",", fmt="%.17g")
-        write_manifest(outdir, "cdeq", {
-            "data": source, "size": size, "filter_size": q, "images": count,
-            "channels": channels, "seed": seed, **_params_dict(params),
-        }, time.monotonic() - start)
+    return {
+        "cdeq_gram.csv": lambda path: np.savetxt(path, G.values, delimiter=",", fmt="%.17g"),
+    }, extras
 
 
 if __name__ == "__main__":

@@ -123,7 +123,7 @@ def _features(records: np.ndarray, normalization: str) -> np.ndarray:
     return feats
 
 
-def _resolve(path, split_files, source_name) -> Path:
+def _resolve(path, source_name) -> Path:
     if path is not None:
         return Path(path)
     base = default_data_dir()
@@ -155,7 +155,7 @@ def load_idx_pair(images_path, labels_path, normalization: str = UNIT_SAMPLE) ->
 
 def load_mnist(path=None, split: str = "train", normalization: str = UNIT_SAMPLE) -> Dataset:
     """IDX files under ``path`` (a directory, or the env default directory)."""
-    base = _resolve(path, _MNIST_FILES, "MNIST")
+    base = _resolve(path, "MNIST")
     if base.is_file():
         raise DataFormatError("load_mnist expects a directory of IDX files")
     if split not in _MNIST_FILES:
@@ -179,7 +179,7 @@ def load_cifar10(
     the one that completes them are not read."""
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
-    target = _resolve(path, None, "CIFAR-10")
+    target = _resolve(path, "CIFAR-10")
     if target.is_dir():
         files = sorted(target.glob("data_batch_*.bin")) or sorted(
             target.glob("*.bin")

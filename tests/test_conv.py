@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from deqntk import (
@@ -9,7 +10,7 @@ from deqntk import (
     SingularityError,
     theta_deq,
 )
-from deqntk.cli import EXIT_NUMERIC, _guard
+from deqntk import cli
 from deqntk.conv import (
     build_normalizer,
     cdeq_k_step,
@@ -169,14 +170,16 @@ class TestKStep:
         with pytest.raises(SingularityError):
             cdeq_k_step(bad, K0, P)
 
-    def test_non_psd_exits_numeric(self):
+    def test_non_psd_exits_numeric(self, monkeypatch):
         # a failure mid-computation, not a configuration error
         x = unit_images(1, 3, 3, 2)[0]
         K0 = pixel_inner_tensor(x, x)
         bad = np.full((3, 3, 3, 3), 1.5)
-        with pytest.raises(SystemExit) as exit_info:
-            _guard(cdeq_k_step)(bad, K0, P)
-        assert exit_info.value.code == EXIT_NUMERIC
+        monkeypatch.setattr(cli, "assemble_gram",
+                            lambda *args, **kwargs: cdeq_k_step(bad, K0, P))
+        result = CliRunner().invoke(cli.main, ["cdeq", "--size", "3", "--images", "1"])
+        assert result.exit_code == cli.EXIT_NUMERIC
+        assert "error: cdeq: " in result.output
 
 
 class TestFixedPoint:

@@ -7,6 +7,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from deqntk import (
+    LINEAR,
+    ConvergenceError,
+    DomainError,
+    KernelParams,
+    SingularityError,
+    theta_linear_deq,
+)
+from deqntk import cli
 from deqntk.cli import EXIT_CONFIG, EXIT_DATA, main, read_config
 from deqntk.data import (
     UNIT_PIXEL,
@@ -358,3 +367,114 @@ class TestCli:
         lines = (out / "depth_sweep.csv").read_text().splitlines()
         assert lines[0] == "kernel,depth,rep,accuracy"
         assert len(lines) == 1 + 2 * 2 * 2  # kernels x depths x reps
+
+
+def _settings_and_extras(name, tmp_path):
+    """Every option of the command except --config and --out, at values
+    that run in well under a second, and the manifest keys it adds."""
+    kernel = {"sw2": 0.55, "su2": 0.45, "sb2": 0.0, "sv2": 2.0,
+              "activation": "normalized-relu"}
+    if name in ("depth-sweep", "cdeq"):
+        write_cifar(tmp_path, n=40)
+    if name == "regress":
+        write_idx(tmp_path, n=30)
+    return {
+        "kernel": ({**kernel, "dot": 0.3, "sweep_depths": "1,4",
+                    "activation": LINEAR}, set()),
+        "depth-sweep": ({**kernel, "data": tmp_path, "n_train": 25, "n_test": 10,
+                         "depths": "1,3", "reps": 2, "reg_eps": 1e-3, "seed": 3},
+                        set()),
+        "residual": ({**kernel, "sw2": 0.3, "su2": 0.7, "widths": "32,64",
+                      "seeds": 2, "input_dim": 3},
+                     set()),
+        "trace": ({"n": 100, "sw2": 0.3, "trials": 2, "seed": 4}, set()),
+        "spectrum": ({"sw2": 0.3, "n": 80, "seed": 2}, {"cdf_sup_distance"}),
+        "regress": ({**kernel, "dataset": "mnist", "path": tmp_path, "n_train": 20,
+                     "n_test": 10, "reg_eps": 1e-4, "seed": 1}, {"data"}),
+        "cdeq": ({**kernel, "sw2": 0.65, "su2": 0.35, "data": tmp_path, "size": 4,
+                  "filter_size": 3, "images": 3, "channels": 3, "seed": 0}, set()),
+    }[name]
+
+
+def _manifest(out):
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return dict(line.split(" = ", 1) for line in lines
+                if not line.startswith("wall_time_seconds"))
+
+
+class TestRunner:
+    @pytest.mark.parametrize("name", sorted(main.commands))
+    def test_config_file_equals_flags(self, tmp_path, name):
+        settings, extras = _settings_and_extras(name, tmp_path)
+        options = {p.name for p in main.commands[name].params} - {"config", "out"}
+        assert set(settings) == options
+        flags = [name, "--out", str(tmp_path / "by_flags")]
+        for key, value in settings.items():
+            flags += ["--" + key.replace("_", "-"), str(value)]
+        cfg = tmp_path / "run.cfg"
+        # keys with dashes or underscores, and --out from the file too
+        cfg.write_text("".join(
+            f"{key.replace('_', '-') if i % 2 else key} = {value}\n"
+            for i, (key, value) in enumerate({**settings, "out": tmp_path / "by_config"}.items())
+        ))
+        by_flags = CliRunner().invoke(main, flags)
+        by_config = CliRunner().invoke(main, [name, "--config", str(cfg)])
+        assert by_flags.exit_code == by_config.exit_code == 0, by_config.output
+        assert by_config.output == by_flags.output
+        written = sorted(p.name for p in (tmp_path / "by_flags").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "by_config").iterdir())
+        for file_name in written:
+            if file_name != "manifest.txt":
+                assert ((tmp_path / "by_config" / file_name).read_bytes()
+                        == (tmp_path / "by_flags" / file_name).read_bytes())
+        manifest = _manifest(tmp_path / "by_config")
+        assert manifest == _manifest(tmp_path / "by_flags")
+        assert manifest["command"] == name
+        assert set(manifest) - {"command", "version", "git_revision"} == options | extras
+
+    @pytest.mark.parametrize("line", [
+        "sw2 0.5",  # no '='
+        "n = 12.5",  # not an integer
+        "activation = tanh",  # not a choice
+    ])
+    def test_config_errors_exit_config(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"sw2 = 0.25\n{line}\n")
+        command = "kernel" if line.startswith("activation") else "trace"
+        result = CliRunner().invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert "Invalid value" in result.output
+
+    @pytest.mark.parametrize("error, code", [
+        (np.linalg.LinAlgError, cli.EXIT_NUMERIC),  # a ValueError, matched first
+        (ConvergenceError, cli.EXIT_NUMERIC),
+        (SingularityError, cli.EXIT_NUMERIC),
+        (DataFormatError, EXIT_DATA),
+        (FileNotFoundError, EXIT_DATA),
+        (DomainError, EXIT_CONFIG),
+        (ValueError, EXIT_CONFIG),
+    ])
+    def test_exit_code_follows_the_error(self, monkeypatch, error, code):
+        def fail(*args):
+            raise error("stage failed")
+
+        monkeypatch.setattr(cli, "resolvent_trace", fail)
+        result = CliRunner().invoke(main, ["trace", "--n", "10"])
+        assert result.exit_code == code
+        assert "error: trace: stage failed" in result.output
+
+    @pytest.mark.parametrize("sw2, su2, sb2", [(0.5, 0.5, 0.0), (0.4, 0.6, 0.0),
+                                                (0.3, 0.2, 0.5), (0.9, 0.1, 0.0)])
+    @pytest.mark.parametrize("dot", [-1.0, -0.4, 0.0, 0.2, 0.3, 1.0])
+    def test_linear_kernel_reports_the_fixed_point(self, sw2, su2, sb2, dot):
+        result = CliRunner().invoke(main, [
+            "kernel", "--activation", "linear", "--dot", str(dot),
+            "--sw2", str(sw2), "--su2", str(su2), "--sb2", str(sb2),
+        ])
+        assert result.exit_code == 0, result.output
+        values = dict(line.split(" = ") for line in result.output.splitlines())
+        assert set(values) == {"theta", "rho_star", "sigma_dot_star"}
+        params = KernelParams(sigma_w_sq=sw2, sigma_u_sq=su2, sigma_b_sq=sb2,
+                              activation=LINEAR)
+        closed = float(theta_linear_deq(dot, params))
+        assert abs(float(values["theta"]) - closed) <= 1e-15 * abs(closed)

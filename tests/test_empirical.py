@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from deqntk import (
@@ -13,22 +14,145 @@ from deqntk import (
 )
 from deqntk.empirical import (
     DeqWeights,
+    EmpiricalNtkBreakdown,
     deq_forward,
     empirical_spectrum,
-    finite_depth_empirical_ntk,
     ift_ntk_pair,
-    linear_resolvent_stats,
     make_weights,
     resolvent_trace,
+    _act_pair,
     _adjoint_vector,
     _injection,
     _inverse_frobenius_sq,
+    _shifted_identity,
+    _stream,
 )
 
 P = KernelParams(sigma_w_sq=0.125, sigma_u_sq=0.875, sigma_v_sq=2.0)
 P_LIN = KernelParams(
     sigma_w_sq=0.125, sigma_u_sq=0.875, sigma_v_sq=2.0, activation=LINEAR
 )
+
+
+# Oracles: the unrolled finite-depth network and the exact resolvent
+# form of the linear network, checked against the implicit-gradient kernel.
+
+
+def _layer_W(weights: DeqWeights, h: int, tied: bool) -> np.ndarray:
+    if tied:
+        return weights.W
+    return _stream(weights.seed, "W", h).standard_normal((weights.n, weights.n))
+
+
+def _forward_stack(weights: DeqWeights, x: np.ndarray, d: int, tied: bool):
+    """g^(0..d) and the activation-derivative masks of each layer."""
+    p = weights.params
+    act, dact = _act_pair(p)
+    scale = np.sqrt(p.sigma_w_sq / weights.n)
+    inj = _injection(weights, x)
+    g = np.zeros(weights.n)
+    gs = [g]
+    masks = []
+    for h in range(1, d + 1):
+        pre = scale * (_layer_W(weights, h, tied) @ g) + inj
+        masks.append(dact(pre))
+        g = act(pre)
+        gs.append(g)
+    return gs, masks
+
+
+def _backward_stack(weights: DeqWeights, masks, d: int, tied: bool):
+    """delta^(h) = df/d(pre-activation h), for h = 1..d."""
+    p = weights.params
+    scale = np.sqrt(p.sigma_w_sq / weights.n)
+    s = np.sqrt(p.sigma_v_sq / weights.n) * weights.v
+    deltas = [None] * d
+    for h in range(d, 0, -1):
+        deltas[h - 1] = masks[h - 1] * s
+        if h > 1:
+            s = scale * (_layer_W(weights, h, tied).T @ deltas[h - 1])
+    return deltas
+
+
+def finite_depth_empirical_ntk(
+    weights: DeqWeights,
+    x: np.ndarray,
+    y: np.ndarray,
+    d: int,
+    tied: bool = False,
+) -> float:
+    """Gradient inner product of the depth-d unrolled network.
+
+    The untied variant draws fresh per-layer recurrent weights from the
+    seed's layer streams and sums per-layer inner products; the tied
+    variant differentiates through the shared weights (cross-layer terms
+    included), so it approaches the implicit-gradient value as d grows.
+    """
+    if d < 1:
+        raise ValueError("depth must be >= 1")
+    p = weights.params
+    gx, mx = _forward_stack(weights, x, d, tied)
+    gy, my = _forward_stack(weights, y, d, tied)
+    dx = _backward_stack(weights, mx, d, tied)
+    dy = _backward_stack(weights, my, d, tied)
+
+    Gx = np.stack(gx[:-1])  # g^(h-1), h=1..d
+    Gy = np.stack(gy[:-1])
+    Dx = np.stack(dx)
+    Dy = np.stack(dy)
+    if tied:
+        gram_g = Gx @ Gy.T
+        gram_d = Dx @ Dy.T
+        w_term = (p.sigma_w_sq / weights.n) * float(np.sum(gram_d * gram_g))
+        su = Dx.sum(axis=0) @ Dy.sum(axis=0)
+    else:
+        w_term = (p.sigma_w_sq / weights.n) * float(
+            np.sum((Dx * Dy).sum(axis=1) * (Gx * Gy).sum(axis=1))
+        )
+        su = float((Dx * Dy).sum())
+    u_term = p.sigma_u_sq * float(su) * float(x @ y)
+    b_term = p.sigma_b_sq * float(su)
+    v_term = (p.sigma_v_sq / weights.n) * float(gx[-1] @ gy[-1])
+    return w_term + u_term + b_term + v_term
+
+
+def linear_resolvent_stats(
+    weights: DeqWeights, x: np.ndarray, y: np.ndarray
+) -> tuple[float, EmpiricalNtkBreakdown]:
+    """Exact resolvent form of the linear network's kernel plus the
+    normalized trace (1/n) tr(H^T H), where H = B^{-1} and B = I -
+    sqrt(sigma_w_sq/n) W.
+
+    H is never formed: the trace comes from the Cholesky factor of B^T B,
+    and z_x, z_y and q = H^T c from one LU factorization of B.  B is
+    invertible whenever 1 is not an eigenvalue of sqrt(sigma_w_sq/n) W; an
+    exactly singular draw raises ``SingularityError``.
+    """
+    p = weights.params
+    n = weights.n
+    B = _shifted_identity(weights.W, p.sigma_w_sq)
+    trace_term = _inverse_frobenius_sq(B) / n
+    # dgetrf reports an exactly zero pivot through info (lu_factor only warns)
+    lu, piv, info = scipy.linalg.lapack.dgetrf(B, overwrite_a=1)
+    if info != 0:
+        raise SingularityError(
+            f"I - sqrt(sigma_w_sq/n) W is singular (zero pivot {info})"
+        )
+
+    inject = np.column_stack([_injection(weights, x), _injection(weights, y)])
+    Z, _ = scipy.linalg.lapack.dgetrs(lu, piv, inject)
+    q, _ = scipy.linalg.lapack.dgetrs(
+        lu, piv, np.sqrt(p.sigma_v_sq / n) * weights.v, trans=1
+    )
+    pp = float(q @ q)
+    zz = float(Z[:, 0] @ Z[:, 1])
+    terms = EmpiricalNtkBreakdown(
+        w_term=(p.sigma_w_sq / n) * pp * zz,
+        u_term=p.sigma_u_sq * pp * float(x @ y),
+        b_term=p.sigma_b_sq * pp,
+        v_term=(p.sigma_v_sq / n) * zz,
+    )
+    return trace_term, terms
 
 
 def unit_vec(m, seed):
