@@ -9,9 +9,11 @@ an exception into an error message and an exit code.
 Settings resolve in click's order: the option's default, then the config
 file, then explicit flags.  The config file (--config) is a flat
 ``key = value`` text file whose keys are option names, with dashes or
-underscores; it may set --out too.  Whenever --out is given, a manifest
-records every resolved option, the command's own entries, the version,
-the git revision and the wall time, enough to re-run it bit-identically.
+underscores; it may set --out too, and any other key is an error.
+Whenever --out is given, a manifest records every resolved option, the
+command's own entries, the version, the git revision of the package's own
+checkout (marked ``-dirty`` when its tracked files differ) and the wall
+time, enough to re-run it bit-identically.
 
 Errors print as ``error: <command>: <message>``.  Exit codes: 0 success,
 2 configuration error, 3 data error, 4 numerical failure.
@@ -76,18 +78,24 @@ def read_config(path) -> dict:
 
 def _load_config(ctx, param, path):
     """The config file's settings become the defaults of the command's
-    options, so click converts them with each option's type."""
+    options, so click converts them with each option's type.  A key that
+    names none of them is an error."""
     if path is not None:
         try:
-            ctx.default_map = read_config(path)
+            settings = read_config(path)
+            unknown = sorted(set(settings) - {p.name for p in ctx.command.params})
+            if unknown:
+                raise ValueError(f"{path}: no option named {', '.join(unknown)}")
         except ValueError as exc:
             raise click.BadParameter(str(exc), ctx, param) from exc
+        ctx.default_map = settings
 
 
 def _git_revision() -> str:
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"],
+            cwd=Path(__file__).parent,
             capture_output=True,
             text=True,
             timeout=10,

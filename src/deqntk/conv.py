@@ -9,7 +9,7 @@ self-covariance equal to one scalar d, which follows d <- sigma_w_sq * d +
 sigma_u_sq whatever the images (d = 1 under the unit-sum initialization),
 so only the cross tensor of a pair is iterated.  The kernel tensor then
 solves an affine fixed point and the scalar kernel value is its trace.
-The kernel has no bias term.
+The kernel has no bias term and no readout layer.
 
 Every one of these maps keeps the offset (i' - i, j' - j) of an entry, and
 the trace reads only offset 0, so the kernel value needs only the P x Q
@@ -31,11 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularityError
-from .kernel import _BLOCK, _k0, _k1
+from .kernel import _BLOCK, _check_unit, _k0_k1
 from .params import KernelParams
 
 _PSD_TOL = 1e-8
-_UNIT_PIXEL_TOL = 1e-9
 #: Step budget of the kernel fixed point, which contracts by at most
 #: sigma_w_sq per step.
 _THETA_MAX_ITER = 10_000
@@ -86,18 +85,21 @@ def pixel_inner_tensor(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def validate_unit_pixels(x: np.ndarray) -> None:
-    norms = np.linalg.norm(x, axis=-1)
-    if np.any(np.abs(norms - 1.0) > _UNIT_PIXEL_TOL):
-        raise DomainError("per-pixel channel vectors must be unit-normalized")
+    _check_unit(x, "per-pixel channel vectors must be unit-normalized")
 
 
 def _check_domain(params: KernelParams, images: np.ndarray) -> None:
-    """The kernel needs a contraction, no bias and unit pixels."""
+    """The kernel needs a contraction, no bias or readout scale, unit pixels."""
     params.require_contraction()
     if params.sigma_b_sq != 0.0:
         raise DomainError(
             f"sigma_b_sq={params.sigma_b_sq}: the convolutional kernel has no "
             "bias term; set sigma_b_sq to 0"
+        )
+    if params.sigma_v_sq != 1.0:
+        raise DomainError(
+            f"sigma_v_sq={params.sigma_v_sq}: the convolutional kernel has no "
+            "readout layer; set sigma_v_sq to 1"
         )
     validate_unit_pixels(images)
 
@@ -120,10 +122,9 @@ def cdeq_k_step(
         raise SingularityError(
             "covariance tensor is not PSD within tolerance (upstream bug)"
         )
-    rho = np.clip(ratio, -1.0, 1.0)
-    act = params.activation
-    K = params.sigma_w_sq * diag * _k1(rho, act) + params.sigma_u_sq * K0
-    Kdot = params.sigma_w_sq * _k0(rho, act)
+    Kdot, k1 = _k0_k1(ratio, params.activation)
+    K = params.sigma_w_sq * diag * k1 + params.sigma_u_sq * K0
+    Kdot *= params.sigma_w_sq
     return K, Kdot
 
 

@@ -1,8 +1,9 @@
 """Dataset ingestion (MNIST IDX, CIFAR-10 binary) and normalization.
 
 Files are parsed bit-exactly from the published binary layouts; pixel
-values are scaled to [0, 1] before normalization.  ``unit-sample`` scales
-every flattened sample to unit Euclidean norm; ``unit-pixel`` scales every
+values are scaled to [0, 1] before normalization.  ``unit-sample``, the
+only normalization of MNIST, scales every flattened sample to unit
+Euclidean norm; ``unit-pixel``, for CIFAR-10 images, scales every
 channel vector of an image to unit norm, mapping all-zero pixels to the
 uniform unit vector so the convolutional kernel's per-pixel precondition
 holds on sparse images.
@@ -26,7 +27,6 @@ DATA_DIR_ENV = "DEQNTK_DATA_DIR"
 
 UNIT_SAMPLE = "unit-sample"
 UNIT_PIXEL = "unit-pixel"
-NONE = "none"
 
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
@@ -44,7 +44,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    normalization: str
     source: str
 
 
@@ -107,7 +106,7 @@ def _unit_pixels(images: np.ndarray) -> np.ndarray:
 def _features(records: np.ndarray, normalization: str) -> np.ndarray:
     """uint8 ``records`` as one float64 array of pixels in [0, 1], normalized
     in place: unit-sample rows come back flattened per record, unit-pixel
-    and unnormalized records keep their shape."""
+    records keep their shape."""
     feats = records.astype(float, order="C")
     feats /= 255.0
     if normalization == UNIT_SAMPLE:
@@ -118,7 +117,7 @@ def _features(records: np.ndarray, normalization: str) -> np.ndarray:
         feats /= norms
     elif normalization == UNIT_PIXEL:
         _unit_pixels(feats)
-    elif normalization != NONE:
+    else:
         raise ValueError(f"unknown normalization {normalization!r}")
     return feats
 
@@ -134,8 +133,9 @@ def _resolve(path, source_name) -> Path:
     return base
 
 
-def load_idx_pair(images_path, labels_path, normalization: str = UNIT_SAMPLE) -> Dataset:
-    """MNIST-style IDX image/label file pair, pixels scaled to [0, 1]."""
+def load_idx_pair(images_path, labels_path) -> Dataset:
+    """MNIST-style IDX image/label file pair as unit-sample rows of pixels
+    scaled to [0, 1]."""
     images_path, labels_path = Path(images_path), Path(labels_path)
     images = _parse_idx_images(_read_bytes(images_path), images_path)
     labels = _parse_idx_labels(_read_bytes(labels_path), labels_path)
@@ -143,17 +143,14 @@ def load_idx_pair(images_path, labels_path, normalization: str = UNIT_SAMPLE) ->
         raise DataFormatError(
             f"image count {images.shape[0]} != label count {labels.shape[0]}"
         )
-    if normalization not in (UNIT_SAMPLE, NONE):
-        raise ValueError(f"unsupported normalization {normalization!r} for IDX data")
     return Dataset(
-        features=_features(images, normalization),
+        features=_features(images, UNIT_SAMPLE),
         labels=labels,
-        normalization=normalization,
         source=str(images_path),
     )
 
 
-def load_mnist(path=None, split: str = "train", normalization: str = UNIT_SAMPLE) -> Dataset:
+def load_mnist(path=None, split: str = "train") -> Dataset:
     """IDX files under ``path`` (a directory, or the env default directory)."""
     base = _resolve(path, "MNIST")
     if base.is_file():
@@ -165,7 +162,7 @@ def load_mnist(path=None, split: str = "train", normalization: str = UNIT_SAMPLE
                   (base / (img_name + ".gz"), base / (lab_name + ".gz"))]
     for img, lab in candidates:
         if img.exists() and lab.exists():
-            return load_idx_pair(img, lab, normalization)
+            return load_idx_pair(img, lab)
     raise DataFormatError(f"MNIST {split} IDX files not found under {base}")
 
 
@@ -211,6 +208,5 @@ def load_cifar10(
     return Dataset(
         features=_features(np.concatenate(images), normalization),
         labels=np.concatenate(labels),
-        normalization=normalization,
         source=";".join(str(f) for f in files[: len(images)]),
     )

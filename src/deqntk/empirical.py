@@ -104,6 +104,29 @@ def _injection(weights: DeqWeights, x: np.ndarray) -> np.ndarray:
     return inj
 
 
+def _iterate(step, start, tol, max_iter, what):
+    """Plain iteration z <- step(z) from ``start``.
+
+    Returns the state at the first iterate z whose residual ||step(z) - z||
+    / (1 + ||z||) is <= ``tol``, and step(z).  Otherwise the ConvergenceError
+    names ``what``, the last residual and the observed contraction: the
+    ratio of the last two residuals.
+    """
+    mapped, residual = start, np.inf
+    for it in range(1, max_iter + 1):
+        z = mapped
+        mapped = step(z)
+        previous = residual
+        residual = np.linalg.norm(mapped - z) / (1.0 + np.linalg.norm(z))
+        if residual <= tol:
+            return EquilibriumState(z, float(residual), it), mapped
+    rate = f", observed contraction {residual / previous:.3g}" if max_iter > 1 else ""
+    raise ConvergenceError(
+        f"{what} did not reach tol={tol} in {max_iter} iterations "
+        f"(residual {residual:.3e}{rate})"
+    )
+
+
 def deq_forward(
     weights: DeqWeights,
     x: np.ndarray,
@@ -119,18 +142,8 @@ def deq_forward(
     act, _ = _act_pair(weights.params)
     scale = np.sqrt(weights.params.sigma_w_sq / weights.n)
     inj = _injection(weights, x)
-    mapped = act(inj)
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        z = mapped
-        mapped = act(scale * (weights.W @ z) + inj)
-        residual = np.linalg.norm(mapped - z) / (1.0 + np.linalg.norm(z))
-        if residual <= tol:
-            return EquilibriumState(z_star=z, residual=float(residual), iterations=it)
-    raise ConvergenceError(
-        f"forward pass did not reach tol={tol} in {max_iter} iterations "
-        f"(residual {residual:.3e}); sigma_w_sq may be too large for this draw"
-    )
+    return _iterate(lambda z: act(scale * (weights.W @ z) + inj), act(inj), tol,
+                    max_iter, "forward pass")[0]
 
 
 def _adjoint_vector(
@@ -151,18 +164,9 @@ def _adjoint_vector(
     scale = np.sqrt(p.sigma_w_sq / weights.n)
     D = dact(scale * (weights.W @ z_star) + _injection(weights, x))
     c = np.sqrt(p.sigma_v_sq / weights.n) * weights.v
-    mapped = c
-    residual = np.inf
-    for _ in range(max_iter):
-        u = mapped
-        mapped = c + scale * (weights.W.T @ (D * u))
-        residual = np.linalg.norm(mapped - u) / (1.0 + np.linalg.norm(u))
-        if residual <= tol:
-            return D * mapped
-    raise ConvergenceError(
-        f"adjoint pass did not reach tol={tol} in {max_iter} iterations "
-        f"(residual {residual:.3e}); sigma_w_sq may be too large for this draw"
-    )
+    _, mapped = _iterate(lambda u: c + scale * (weights.W.T @ (D * u)), c, tol,
+                         max_iter, "adjoint pass")
+    return D * mapped
 
 
 def ift_ntk_pair(

@@ -1,10 +1,10 @@
 """Gram-matrix assembly, label encoding and regularized kernel regression.
 
-Dense kernels (fixed-point, finite-depth, linear closed-form) depend on a
-pair only through its inner product, so their Grams are vectorized over the
-dataset's dot-product matrix.  A finite-depth Gram runs the layer recursion
-only at a few Chebyshev nodes in the angle arccos(x.y) over the range its
-entries span, and evaluates that checked fit at every entry.  The
+Dense kernels (fixed-point and finite-depth, for either activation) depend
+on a pair only through its inner product, so their Grams are vectorized over
+the dataset's dot-product matrix.  A finite-depth Gram runs the layer
+recursion only at a few Chebyshev nodes in the angle arccos(x.y) over the
+range its entries span, and evaluates that checked fit at every entry.  The
 convolutional kernel is solved in one batched call over the image pairs of
 the upper triangle (or of the test x train grid); each entry is a pure
 function of its two images and equals ``cdeq_kernel_pair`` on that pair
@@ -20,13 +20,8 @@ import scipy.linalg
 from numpy.polynomial import chebyshev
 
 from .conv import _cdeq_pairs
-from .errors import DomainError
 from .kernel import (
-    _BLOCK,
-    _as_correlation,
-    finite_depth_theta,
-    theta_deq_grid,
-    theta_linear_deq,
+    _BLOCK, _as_correlation, _check_unit, finite_depth_theta, theta_deq_grid,
 )
 from .params import KernelParams
 
@@ -35,14 +30,10 @@ log = logging.getLogger(__name__)
 DEQ_NTK = "deq-ntk"
 FINITE_DEPTH_NTK = "finite-depth-ntk"
 VANILLA_NTK = "vanilla-ntk"
-LINEAR_DEQ = "linear-deq"
 CDEQ_NTK = "cdeq-ntk"
-
-KERNEL_TAGS = (DEQ_NTK, FINITE_DEPTH_NTK, VANILLA_NTK, LINEAR_DEQ, CDEQ_NTK)
 
 #: Relative jitter ladder tried when a regularized factorization fails.
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
-_UNIT_NORM_TOL = 1e-9
 
 #: A finite-depth fit is accepted once max|fit - exact| at its check points
 #: is at most FIT_TOL times the largest |exact| there.
@@ -65,9 +56,6 @@ class GramMatrix:
     """Symmetric kernel matrix over one dataset."""
 
     values: np.ndarray
-    kernel_tag: str
-    params: KernelParams
-    depth: int | None = None
 
 
 def _dot_matrix(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
@@ -94,8 +82,6 @@ def kernel_from_dots(
     """Kernel values for a matrix of pairwise inner products (dense tags)."""
     if kernel_tag == DEQ_NTK:
         return theta_deq_grid(dots, params)
-    if kernel_tag == LINEAR_DEQ:
-        return theta_linear_deq(dots, params)
     if kernel_tag in (FINITE_DEPTH_NTK, VANILLA_NTK):
         if depth is None:
             raise ValueError(f"{kernel_tag} requires a depth")
@@ -185,9 +171,7 @@ def _angle_fit(depth, params, lo, hi):
 
 
 def _check_unit_rows(features: np.ndarray) -> None:
-    norms = np.sqrt(np.einsum("ij,ij->i", features, features))
-    if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
-        raise DomainError("dense kernels require unit-normalized samples")
+    _check_unit(features, "dense kernels require unit-normalized samples")
 
 
 def assemble_gram(
@@ -203,8 +187,6 @@ def assemble_gram(
     N x P x Q x C unit-pixel images and solves the upper triangle, diagonal
     included, in one batched call.
     """
-    if kernel_tag not in KERNEL_TAGS:
-        raise ValueError(f"unknown kernel tag {kernel_tag!r}")
     n = features.shape[0]
     if kernel_tag == CDEQ_NTK:
         rows, cols = np.triu_indices(n)
@@ -215,7 +197,7 @@ def assemble_gram(
     else:
         values = kernel_from_dots(_dot_matrix(features), kernel_tag, params, depth)
         values = 0.5 * (values + values.T)
-    return GramMatrix(values=values, kernel_tag=kernel_tag, params=params, depth=depth)
+    return GramMatrix(values=values)
 
 
 def cross_gram(

@@ -23,6 +23,8 @@ from .params import LINEAR, NORMALIZED_RELU, KernelParams
 
 #: Inputs this close to +-1 are treated as rounding noise and clamped.
 BOUNDARY_SLACK = 1e-12
+#: Largest |norm - 1| of a sample or pixel that the kernels accept as unit.
+_UNIT_NORM_TOL = 1e-9
 
 _MAX_NEWTON_ITER = 200
 _ROOT_TOL = 1e-12
@@ -67,25 +69,31 @@ def _as_correlation(rho):
     return np.clip(arr, -1.0, 1.0)
 
 
+def _check_unit(x, message):
+    """Raise ``DomainError(message)`` unless every vector along the last axis
+    of ``x`` has unit norm within ``_UNIT_NORM_TOL``."""
+    norms = np.sqrt(np.einsum("...i,...i->...", x, x))
+    if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
+        raise DomainError(message)
+
+
 def _maybe_scalar(value, template):
     return float(value) if np.isscalar(template) else value
 
 
+def _k0_k1(rho, activation):
+    """Derivative and plain dual activations at unit marginals, as new arrays
+    filled by ``_duals`` at a copy of ``rho``."""
+    r = np.array(rho, dtype=float)
+    # three arrays: a 0-d view into one (3,) array is a scalar, unfit for out=
+    angle, k1, tmp = (np.empty(r.shape) for _ in range(3))
+    _duals(r, activation, angle, k1, tmp)
+    return np.divide(angle, np.pi, out=angle), k1
+
+
 def _k1(rho, activation):
     """Dual activation at unit marginals, dispatched on the activation tag."""
-    if activation == LINEAR:
-        return np.asarray(rho, dtype=float)
-    r = np.clip(np.asarray(rho, dtype=float), -1.0, 1.0)
-    return (np.sqrt(1.0 - r * r) + (np.pi - np.arccos(r)) * r) / np.pi
-
-
-def _k0(rho, activation):
-    """Derivative dual activation at unit marginals."""
-    r = np.asarray(rho, dtype=float)
-    if activation == LINEAR:
-        return np.ones_like(r)
-    r = np.clip(r, -1.0, 1.0)
-    return (np.pi - np.arccos(r)) / np.pi
+    return _k0_k1(rho, activation)[1]
 
 
 def dual_activation(rho):
@@ -99,7 +107,7 @@ def dual_activation(rho):
 
 def dual_activation_dot(rho):
     """E[sigma'(u) sigma'(v)] for the normalized ReLU: (pi - arccos(rho)) / pi."""
-    return _maybe_scalar(_k0(_as_correlation(rho), NORMALIZED_RELU), rho)
+    return _maybe_scalar(_k0_k1(_as_correlation(rho), NORMALIZED_RELU)[0], rho)
 
 
 def _diag_fixed_point(params: KernelParams) -> float:
@@ -120,10 +128,11 @@ def _blocks(n):
 def _duals(rho, activation, angle, k1, tmp):
     """Dual activations at ``rho`` in place, with one ``arccos``.
 
-    Fills ``angle`` with pi - arccos(rho), so that k0(rho) = angle / pi, and
-    ``k1`` with k1(rho); ``tmp`` is scratch.  The operations and their order
-    are those of ``_k1``/``_k0``, so the values are bit-identical to theirs.
+    Clips ``rho`` to [-1, 1] in place, then fills ``angle`` with pi -
+    arccos(rho), so that k0(rho) = angle / pi, and ``k1`` with k1(rho);
+    ``tmp`` is scratch.
     """
+    np.clip(rho, -1.0, 1.0, out=rho)
     if activation == LINEAR:
         angle.fill(np.pi)
         np.copyto(k1, rho)
@@ -180,7 +189,6 @@ def _finite_depth(dot, d, params: KernelParams):
         sigma_dot.fill(0.0)
         for diag in diags[:-1]:
             np.divide(cov, diag, out=rho)
-            np.clip(rho, -1.0, 1.0, out=rho)
             _duals(rho, act, angle, k1, tmp)
             np.divide(angle, np.pi, out=sigma_dot)
             np.multiply(sw2, sigma_dot, out=sigma_dot)
@@ -191,7 +199,6 @@ def _finite_depth(dot, d, params: KernelParams):
             np.add(theta, cov, out=theta)
         diag = diags[-1]
         np.divide(cov, diag, out=rho)
-        np.clip(rho, -1.0, 1.0, out=rho)
         _duals(rho, act, angle, k1, tmp)
         np.divide(angle, np.pi, out=tmp)
         np.multiply(tmp, theta, out=tmp)
@@ -270,7 +277,6 @@ def _fixed_point(dot, params: KernelParams):
         np.clip(s, -a, a, out=s)
         for step in range(1, _MAX_NEWTON_ITER + 1):
             np.divide(s, a, out=rho)
-            np.clip(rho, -1.0, 1.0, out=rho)
             _duals(rho, act, angle, k1, tmp)
             np.multiply(sw2 * a, k1, out=f)
             np.add(f, inject, out=f)

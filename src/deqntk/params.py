@@ -12,9 +12,6 @@ from dataclasses import dataclass
 NORMALIZED_RELU = "normalized-relu"
 LINEAR = "linear"
 
-#: Tolerance for the sigma_w^2 + sigma_u^2 + sigma_b^2 = 1 normalization check.
-_INIT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -38,12 +35,6 @@ class KernelParams:
             raise ValueError("sigma_v_sq must be positive")
         if self.activation not in (NORMALIZED_RELU, LINEAR):
             raise ValueError(f"unknown activation {self.activation!r}")
-
-    @property
-    def deq_init(self) -> bool:
-        """True when the variances satisfy the unit-sum initialization."""
-        total = self.sigma_w_sq + self.sigma_u_sq + self.sigma_b_sq
-        return abs(total - 1.0) <= _INIT_TOL
 
     def require_contraction(self):
         """Fixed-point kernels need sigma_w_sq < 1 for the map to contract."""

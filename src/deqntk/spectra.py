@@ -150,13 +150,12 @@ def support_endpoints(sigma_w_sq: float) -> tuple[float, float]:
     return ((1.0 - s) ** 3 / upper, upper)
 
 
-def density_table(
-    sigma_w_sq: float, num: int = 1200, endpoint_offset: float = 1e-6
-) -> SpectralDensitySamples:
-    """Tabulate the density on a grid spanning the support; a one-point
-    support gives a one-point grid."""
+def density_table(sigma_w_sq: float, num: int = 1200) -> SpectralDensitySamples:
+    """Tabulate the density on a grid spanning the support from 1e-6 inside
+    each edge (a quarter of a narrower support); a one-point support gives a
+    one-point grid."""
     l, u = support_endpoints(sigma_w_sq)
-    offset = min(endpoint_offset, 0.25 * (u - l))
+    offset = min(1e-6, 0.25 * (u - l))
     lam = np.linspace(l + offset, u - offset, num if u > l else 1)
     grid = np.column_stack([lam, density(lam, sigma_w_sq)])
     return SpectralDensitySamples(sigma_w_sq=sigma_w_sq, support=(l, u), grid=grid)

@@ -1,7 +1,9 @@
 import gzip
 import struct
+import subprocess
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,6 +354,13 @@ class TestCli:
         assert result.exit_code == EXIT_CONFIG
         assert "sigma_b_sq" in result.output
 
+    def test_cdeq_rejects_readout_scale(self):
+        result = CliRunner().invoke(
+            main, ["cdeq", "--size", "4", "--images", "2", "--sv2", "2"]
+        )
+        assert result.exit_code == EXIT_CONFIG
+        assert "sigma_v_sq" in result.output
+
     def test_depth_sweep_on_synthetic_cifar(self, tmp_path):
         write_cifar(tmp_path, n=40)
         out = tmp_path / "sweep"
@@ -391,8 +400,10 @@ def _settings_and_extras(name, tmp_path):
         "spectrum": ({"sw2": 0.3, "n": 80, "seed": 2}, {"cdf_sup_distance"}),
         "regress": ({**kernel, "dataset": "mnist", "path": tmp_path, "n_train": 20,
                      "n_test": 10, "reg_eps": 1e-4, "seed": 1}, {"data"}),
-        "cdeq": ({**kernel, "sw2": 0.65, "su2": 0.35, "data": tmp_path, "size": 4,
-                  "filter_size": 3, "images": 3, "channels": 3, "seed": 0}, set()),
+        # the convolutional kernel has no readout, so sv2 must be 1
+        "cdeq": ({**kernel, "sw2": 0.65, "su2": 0.35, "sv2": 1.0, "data": tmp_path,
+                  "size": 4, "filter_size": 3, "images": 3, "channels": 3, "seed": 0},
+                 set()),
     }[name]
 
 
@@ -444,6 +455,28 @@ class TestRunner:
         result = CliRunner().invoke(main, [command, "--config", str(cfg)])
         assert result.exit_code == EXIT_CONFIG, result.output
         assert "Invalid value" in result.output
+
+    def test_config_key_naming_no_option_exits_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dott = 0.5\nsw2 = 0.5\n")
+        result = CliRunner().invoke(main, ["kernel", "--config", str(cfg)])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert "Invalid value" in result.output and "dott" in result.output
+
+    def test_manifest_revision_is_the_package_checkout(self, tmp_path, monkeypatch):
+        package = Path(cli.__file__).parent
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=package,
+                              capture_output=True, text=True)
+        if head.returncode != 0:
+            expected = "unknown"
+        else:
+            dirty = subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=package)
+            expected = head.stdout.strip() + ("-dirty" if dirty.returncode else "")
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner().invoke(main, ["trace", "--n", "10", "--trials", "1",
+                                           "--out", "out"])
+        assert result.exit_code == 0, result.output
+        assert _manifest(tmp_path / "out")["git_revision"] == expected
 
     @pytest.mark.parametrize("error, code", [
         (np.linalg.LinAlgError, cli.EXIT_NUMERIC),  # a ValueError, matched first

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,44 @@ class TestForward:
         for max_iter in (2, 0):
             with pytest.raises(ConvergenceError):
                 deq_forward(w, unit_vec(4, 0), tol=1e-10, max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 5])
+    @pytest.mark.parametrize("which", ["forward", "adjoint"])
+    def test_nonconvergence_names_pass_residual_and_rate(self, which, max_iter):
+        """The message carries the last residual and, once two exist, the
+        ratio of the last two, both as an explicit-matrix iteration gives
+        them."""
+        w = make_weights(32, 4, seed=0, params=P)
+        x = unit_vec(4, 0)
+        A = np.sqrt(P.sigma_w_sq / w.n) * w.W
+        inj = _injection(w, x)
+        z = deq_forward(w, x, tol=1e-12).z_star
+        act, dact = _act_pair(P)
+        D = dact(A @ z + inj)
+        c = np.sqrt(P.sigma_v_sq / w.n) * w.v
+        if which == "forward":
+            step, u = (lambda v: act(A @ v + inj)), act(inj)
+        else:
+            step, u = (lambda v: c + A.T @ (D * v)), c
+        residuals = []
+        for _ in range(max_iter):
+            u, prev = step(u), u
+            residuals.append(np.linalg.norm(u - prev) / (1.0 + np.linalg.norm(prev)))
+        with pytest.raises(ConvergenceError) as err:
+            if which == "forward":
+                deq_forward(w, x, tol=1e-300, max_iter=max_iter)
+            else:
+                _adjoint_vector(w, z, x, tol=1e-300, max_iter=max_iter)
+        message = str(err.value)
+        assert message.startswith(f"{which} pass did not reach tol=1e-300 in {max_iter} ")
+        shown = float(re.search(r"residual (\S+?)[,)]", message).group(1))
+        assert shown == pytest.approx(residuals[-1] if residuals else np.inf, rel=1e-3)
+        rate = re.search(r"observed contraction (\S+)\)", message)
+        assert (rate is not None) == (max_iter >= 2), message
+        if rate:
+            assert float(rate.group(1)) == pytest.approx(
+                residuals[-1] / residuals[-2], rel=1e-2)
+        assert "may be too large" not in message
 
     def test_forms_no_scaled_copy_of_w(self):
         import tracemalloc

@@ -13,6 +13,7 @@ from deqntk import (
     KernelParams,
     finite_depth_theta,
     theta_deq,
+    theta_linear_deq,
 )
 from deqntk import gram
 from deqntk.conv import cdeq_kernel_pair
@@ -21,7 +22,6 @@ from deqntk.gram import (
     DEQ_NTK,
     FINITE_DEPTH_NTK,
     FIT_TOL,
-    LINEAR_DEQ,
     VANILLA_NTK,
     assemble_gram,
     cross_gram,
@@ -122,12 +122,22 @@ class TestAssembly:
             sigma_w_sq=0.125, sigma_u_sq=0.875, activation="linear"
         )
         X = unit_rows(5, 8, seed=3)
-        G = assemble_gram(X, LINEAR_DEQ, p_lin).values
+        G = assemble_gram(X, DEQ_NTK, p_lin).values
         # linear kernel is an affine image of the dot matrix
         dots = np.clip(X @ X.T, -1, 1)
         np.fill_diagonal(dots, 1.0)
         ratio = G / dots
         assert np.ptp(ratio) <= 1e-9
+
+    @pytest.mark.parametrize("sw2, su2, sb2", [(0.125, 0.875, 0.0), (0.3, 0.2, 0.5),
+                                                (0.9, 0.05, 0.05)])
+    def test_linear_gram_is_the_closed_form(self, sw2, su2, sb2):
+        p_lin = KernelParams(sigma_w_sq=sw2, sigma_u_sq=su2, sigma_b_sq=sb2,
+                             sigma_v_sq=1.5, activation=LINEAR)
+        X = unit_rows(40, 6, seed=5)
+        G = assemble_gram(X, DEQ_NTK, p_lin).values
+        closed = theta_linear_deq(gram._dot_matrix(X), p_lin)
+        assert np.all(np.abs(G - closed) <= 1e-15 * np.abs(closed))
 
     def test_cdeq_entries_equal_pair_values(self):
         imgs = unit_images(4, 5, 4, 2, seed=4)
