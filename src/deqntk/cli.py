@@ -29,17 +29,13 @@ import click
 import numpy as np
 
 from . import __version__
-from .data import (
-    UNIT_PIXEL,
-    UNIT_SAMPLE,
-    load_cifar10,
-    load_mnist,
-)
+from .data import UNIT_PIXEL, load_cifar10, load_mnist
 from .empirical import ift_ntk_pair, make_weights, empirical_spectrum, resolvent_trace
 from .errors import ConvergenceError, DataFormatError, SingularityError
 from .gram import (
     CDEQ_NTK,
     DEQ_NTK,
+    _split,
     assemble_gram,
     cross_gram,
     depth_sweep,
@@ -121,6 +117,22 @@ def _fail(command: str, code: int, exc: BaseException):
 
 def _parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
+
+
+def _int_list(least: int):
+    """Callback of a comma-list option: one or more integers >= ``least``.
+    The text is passed on as given, for the manifest."""
+    def check(ctx, param, text):
+        try:
+            if min(_parse_int_list(text)) >= least:
+                return text
+        except ValueError:  # not integers, or none
+            pass
+        raise click.BadParameter(f"{text!r} is not a comma list of integers >= {least}")
+    return check
+
+
+_COUNT = click.IntRange(min=1)
 
 
 @click.group()
@@ -217,10 +229,11 @@ def kernel(params, dot, sweep_depths):
 @command("depth-sweep", kernel=(0.6, 0.4), out_required=True)
 @click.option("--data", type=click.Path(), default=None,
               help="CIFAR-10 batch file or directory (env default otherwise)")
-@click.option("--n-train", type=int, default=1000)
-@click.option("--n-test", type=int, default=100)
-@click.option("--depths", default="10,50,100,500", help="comma list of depths")
-@click.option("--reps", type=int, default=5)
+@click.option("--n-train", type=_COUNT, default=1000)
+@click.option("--n-test", type=_COUNT, default=100)
+@click.option("--depths", default="10,50,100,500", callback=_int_list(0),
+              help="comma list of depths")
+@click.option("--reps", type=_COUNT, default=5)
 @click.option("--reg-eps", type=float, default=1e-4)
 @click.option("--seed", type=int, default=0)
 def depth_sweep_cmd(params, data, n_train, n_test, depths, reps, reg_eps, seed):
@@ -230,7 +243,7 @@ def depth_sweep_cmd(params, data, n_train, n_test, depths, reps, reg_eps, seed):
         activation=params.activation,
     )
     depth_list = _parse_int_list(depths)
-    ds = load_cifar10(data, normalization=UNIT_SAMPLE)
+    ds = load_cifar10(data)
     rows = depth_sweep(ds.features, ds.labels, depth_list, params,
                        params_vanilla, reps, n_train, n_test,
                        reg_eps=reg_eps, seed=seed)
@@ -249,9 +262,10 @@ def depth_sweep_cmd(params, data, n_train, n_test, depths, reps, reg_eps, seed):
 
 
 @command(kernel=(0.5, 0.5), out_required=True)
-@click.option("--widths", default="64,256,1024", help="comma list of hidden widths")
-@click.option("--seeds", type=int, default=10, help="number of seeds per width")
-@click.option("--input-dim", type=int, default=10)
+@click.option("--widths", default="64,256,1024", callback=_int_list(1),
+              help="comma list of hidden widths")
+@click.option("--seeds", type=_COUNT, default=10, help="number of seeds per width")
+@click.option("--input-dim", type=_COUNT, default=10)
 def residual(params, widths, seeds, input_dim):
     """Relative error of finite-width empirical kernels against the limit."""
     width_list = _parse_int_list(widths)
@@ -278,9 +292,9 @@ def residual(params, widths, seeds, input_dim):
 
 
 @command()
-@click.option("--n", type=int, default=5000)
+@click.option("--n", type=_COUNT, default=5000)
 @click.option("--sw2", type=float, default=0.25)
-@click.option("--trials", type=int, default=10)
+@click.option("--trials", type=_COUNT, default=10)
 @click.option("--seed", type=int, default=0)
 def trace(n, sw2, trials, seed):
     """Normalized trace of the squared inverse of I - sqrt(sw2/n) W."""
@@ -296,7 +310,7 @@ def trace(n, sw2, trials, seed):
 
 @command(out_required=True)
 @click.option("--sw2", type=float, default=0.25)
-@click.option("--n", type=int, default=1000)
+@click.option("--n", type=_COUNT, default=1000)
 @click.option("--seed", type=int, default=0)
 def spectrum(sw2, n, seed):
     """Empirical vs limiting eigenvalue distributions (two CSV tables)."""
@@ -316,20 +330,14 @@ def spectrum(sw2, n, seed):
 @command(kernel=(0.6, 0.4))
 @click.option("--dataset", type=click.Choice(["mnist", "cifar10"]), default="mnist")
 @click.option("--path", type=click.Path(), default=None)
-@click.option("--n-train", type=int, default=2000)
-@click.option("--n-test", type=int, default=1000)
+@click.option("--n-train", type=_COUNT, default=2000)
+@click.option("--n-test", type=_COUNT, default=1000)
 @click.option("--reg-eps", type=float, default=0.0)
 @click.option("--seed", type=int, default=0)
 def regress(params, dataset, path, n_train, n_test, reg_eps, seed):
     """Fixed-point kernel regression accuracy on a dataset subset."""
-    if dataset == "mnist":
-        ds = load_mnist(path, split="train")
-    else:
-        ds = load_cifar10(path, normalization=UNIT_SAMPLE)
-    idx = np.random.default_rng(seed).permutation(ds.features.shape[0])
-    tr = idx[:n_train]
-    te = idx[n_train : n_train + n_test]
-
+    ds = load_mnist(path) if dataset == "mnist" else load_cifar10(path)
+    tr, te = _split(np.random.default_rng(seed), ds.features.shape[0], n_train, n_test)
     G = assemble_gram(ds.features[tr], DEQ_NTK, params)
     C = cross_gram(ds.features[te], ds.features[tr], DEQ_NTK, params)
     acc = regress_and_score(G.values, C, ds.labels[tr], ds.labels[te], reg_eps)
@@ -340,10 +348,10 @@ def regress(params, dataset, path, n_train, n_test, reg_eps, seed):
 @command(kernel=(0.65, 0.35))
 @click.option("--data", type=click.Path(), default=None,
               help="CIFAR-10 batch file or directory; random images otherwise")
-@click.option("--size", type=int, default=8, help="side length of the random images")
+@click.option("--size", type=_COUNT, default=8, help="side length of the random images")
 @click.option("--filter-size", type=int, default=3)
-@click.option("--images", type=int, default=8)
-@click.option("--channels", type=int, default=3, help="channels of the random images")
+@click.option("--images", type=_COUNT, default=8)
+@click.option("--channels", type=_COUNT, default=3, help="channels of the random images")
 @click.option("--seed", type=int, default=0)
 def cdeq(params, data, size, filter_size, images, channels, seed):
     """Convolutional kernel Gram over unit-pixel images: the first --images

@@ -47,11 +47,6 @@ class Dataset:
     source: str
 
 
-def default_data_dir() -> Path | None:
-    value = os.environ.get(DATA_DIR_ENV)
-    return Path(value) if value else None
-
-
 def _read_bytes(path: Path) -> bytes:
     try:
         raw = path.read_bytes()
@@ -87,14 +82,9 @@ def _parse_idx_labels(raw: bytes, path: Path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, count=n, offset=8).astype(int)
 
 
-def normalize_pixels(images: np.ndarray) -> np.ndarray:
-    """Unit channel vector per pixel, as a new float array; all-zero pixels
-    become uniform."""
-    return _unit_pixels(np.array(images, dtype=float))
-
-
 def _unit_pixels(images: np.ndarray) -> np.ndarray:
-    """``normalize_pixels`` in place on a float array, which is returned."""
+    """Unit channel vector per pixel, in place on a float array, which is
+    returned; all-zero pixels become uniform."""
     norms = np.einsum("...c,...c->...", images, images)[..., None]
     np.sqrt(norms, out=norms)
     zero = norms == 0
@@ -123,14 +113,13 @@ def _features(records: np.ndarray, normalization: str) -> np.ndarray:
 
 
 def _resolve(path, source_name) -> Path:
-    if path is not None:
-        return Path(path)
-    base = default_data_dir()
-    if base is None:
-        raise DataFormatError(
-            f"no path given for {source_name} and {DATA_DIR_ENV} is not set"
-        )
-    return base
+    if path is None:
+        path = os.environ.get(DATA_DIR_ENV)
+        if not path:
+            raise DataFormatError(
+                f"no path given for {source_name} and {DATA_DIR_ENV} is not set"
+            )
+    return Path(path)
 
 
 def load_idx_pair(images_path, labels_path) -> Dataset:

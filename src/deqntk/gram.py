@@ -2,13 +2,13 @@
 
 Dense kernels (fixed-point and finite-depth, for either activation) depend
 on a pair only through its inner product, so their Grams are vectorized over
-the dataset's dot-product matrix.  A finite-depth Gram runs the layer
+the dataset's dot products.  A finite-depth Gram runs the layer
 recursion only at a few Chebyshev nodes in the angle arccos(x.y) over the
-range its entries span, and evaluates that checked fit at every entry.  The
+range its entries span, and evaluates that checked fit at every entry.  A self
+Gram of any kernel solves its upper triangle once and mirrors it.  The
 convolutional kernel is solved in one batched call over the image pairs of
-the upper triangle (or of the test x train grid); each entry is a pure
-function of its two images and equals ``cdeq_kernel_pair`` on that pair
-exactly.
+that triangle (or of the test x train grid); each entry is a pure function
+of its two images and equals ``cdeq_kernel_pair`` on that pair exactly.
 """
 from __future__ import annotations
 
@@ -61,16 +61,14 @@ class GramMatrix:
 def _dot_matrix(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     """Inner products of the unit-norm ``rows`` with ``cols``, clipped to
     [-1, 1]; without ``cols``, the self Gram of ``rows``."""
-    _check_unit_rows(rows)
+    for x in (rows,) if cols is None else (rows, cols):
+        _check_unit(x, "dense kernels require unit-normalized samples")
+    dots = np.clip(rows @ (rows if cols is None else cols).T, -1.0, 1.0)
     if cols is None:
-        dots = np.clip(rows @ rows.T, -1.0, 1.0)
-        # The self inner product is 1 by definition and the kernel has a
-        # square-root cusp there, so rounding noise in the BLAS product must
-        # not leak through.
+        # The self inner product is 1 by definition, and at the kernel's
+        # square-root cusp there the BLAS product's rounding must not leak.
         np.fill_diagonal(dots, 1.0)
-        return dots
-    _check_unit_rows(cols)
-    return np.clip(rows @ cols.T, -1.0, 1.0)
+    return dots
 
 
 def kernel_from_dots(
@@ -170,10 +168,6 @@ def _angle_fit(depth, params, lo, hi):
     return coef, at_one, err
 
 
-def _check_unit_rows(features: np.ndarray) -> None:
-    _check_unit(features, "dense kernels require unit-normalized samples")
-
-
 def assemble_gram(
     features: np.ndarray,
     kernel_tag: str,
@@ -181,22 +175,22 @@ def assemble_gram(
     depth: int | None = None,
     filter_size: int = 3,
 ) -> GramMatrix:
-    """Kernel matrix over ``features``.
+    """Kernel matrix over ``features``: N x m unit-norm rows for the dense
+    tags, N x P x Q x C unit-pixel images for the convolutional one.
 
-    Dense tags take N x m unit-norm rows; the convolutional tag takes
-    N x P x Q x C unit-pixel images and solves the upper triangle, diagonal
-    included, in one batched call.
+    Every tag solves the upper triangle, diagonal included, in one call over
+    its pairs in row-major order and mirrors it, so the matrix is exactly
+    symmetric.  A boolean mask picks the triangle at 1 byte per entry, where
+    ``triu_indices`` would take 16.
     """
     n = features.shape[0]
+    upper = np.triu(np.ones((n, n), dtype=bool))
     if kernel_tag == CDEQ_NTK:
-        rows, cols = np.triu_indices(n)
-        values = np.empty((n, n))
-        values[rows, cols] = values[cols, rows] = _cdeq_pairs(
-            features, features, rows, cols, filter_size, params
-        )
+        tri = _cdeq_pairs(features, features, *np.nonzero(upper), filter_size, params)
     else:
-        values = kernel_from_dots(_dot_matrix(features), kernel_tag, params, depth)
-        values = 0.5 * (values + values.T)
+        tri = kernel_from_dots(_dot_matrix(features)[upper], kernel_tag, params, depth)
+    values = np.empty((n, n))
+    values[upper] = values.T[upper] = tri
     return GramMatrix(values=values)
 
 
@@ -255,18 +249,22 @@ def regress_and_score(
     r = reg_eps * mean_diag / n
     Y = encode_labels(train_labels, num_classes)
 
-    ladder = _JITTER_LADDER if reg_eps > 0 else (0.0,)
-    alpha = None
-    for jitter in ladder:
-        M = K + (r + jitter * mean_diag) * np.eye(n)
+    def shifted(c):
+        """A fresh K + cI in Fortran order, which LAPACK factors in place."""
+        M = np.array(K, order="F")
+        M.flat[:: n + 1] += c
+        return M
+
+    for jitter in _JITTER_LADDER if reg_eps > 0 else (0.0,):
         try:
-            c, low = scipy.linalg.cho_factor(M)
-            alpha = scipy.linalg.cho_solve((c, low), Y)
+            factor = scipy.linalg.cho_factor(shifted(r + jitter * mean_diag),
+                                             overwrite_a=True)
+            alpha = scipy.linalg.cho_solve(factor, Y)
             break
         except scipy.linalg.LinAlgError:
             continue
-    if alpha is None:
-        cond = np.linalg.cond(K + r * np.eye(n))
+    else:
+        cond = np.linalg.cond(shifted(r))
         raise np.linalg.LinAlgError(
             f"kernel system singular even after jitter ladder "
             f"(condition estimate {cond:.3e})"
@@ -279,6 +277,10 @@ def regress_and_score(
 
 
 def _split(rng: np.random.Generator, n_total: int, n_train: int, n_test: int):
+    """The first n_train and the next n_test of a permutation of n_total."""
+    if min(n_train, n_test) < 1 or n_train + n_test > n_total:
+        raise ValueError(f"not enough samples for the requested split: n_train "
+                         f"{n_train}, n_test {n_test} (each >= 1) of {n_total}")
     idx = rng.permutation(n_total)
     return idx[:n_train], idx[n_train : n_train + n_test]
 
@@ -302,8 +304,6 @@ def depth_sweep(
     dicts with keys kernel, depth, rep, accuracy.
     """
     labels = np.asarray(labels, dtype=int)
-    if n_train + n_test > features.shape[0]:
-        raise ValueError("not enough samples for the requested split")
     rows = []
     rng = np.random.default_rng(seed)
     for rep in range(reps):

@@ -53,8 +53,7 @@ class FixedPointResult:
     """Depth-limit kernel quantities for one input pair."""
 
     rho_star: float  # fixed point of the covariance map
-    rho_dot_star: float  # derivative dual activation at the fixed point
-    sigma_dot_star: float  # sigma_w_sq * rho_dot_star
+    sigma_dot_star: float  # sigma_w_sq times the derivative dual activation
     theta: float  # limiting kernel value, readout layer included
     iterations: int
     residual: float
@@ -242,8 +241,8 @@ def _fixed_point(dot, params: KernelParams):
 
     Each block of entries runs Newton in block-sized work arrays until all
     of its own entries have converged, then its readout.  Returns (s*,
-    rho_dot*, sigma_dot*, theta, iterations, residual): ``iterations`` is
-    the most any block took and ``residual`` is |F(s*)| per entry.
+    sigma_dot*, theta, iterations, residual): three arrays shaped like
+    ``dot``, the most Newton steps any block took and the largest |F(s*)|.
     """
     _as_correlation(dot)
     params.require_contraction()
@@ -252,24 +251,19 @@ def _fixed_point(dot, params: KernelParams):
     dot = np.asarray(dot, dtype=float)
     a = _diag_fixed_point(params)
 
-    outputs = tuple(np.empty(dot.shape) for _ in range(5))
-    s_all, rho_dot_all, sigma_dot_all, theta_all, residual_all = outputs
     if a == 0.0:
         # Without injection or bias every covariance decays to 0 and every
         # correlation tends to 1, the only fixed point of k1: the kernel is 0.
-        s_all.fill(0.0)
-        rho_dot_all.fill(1.0)
-        sigma_dot_all.fill(sw2)
-        theta_all.fill(0.0)
-        residual_all.fill(0.0)
-        return s_all, rho_dot_all, sigma_dot_all, theta_all, 0, residual_all
+        zero = np.zeros(dot.shape)
+        return zero, np.full(dot.shape, sw2), zero.copy(), 0, 0.0
 
+    outputs = tuple(np.empty(dot.shape) for _ in range(3))
     flat = dot.reshape(-1)
     views = [o.reshape(-1) for o in outputs]
     work = np.empty((6, min(_BLOCK, flat.size)))
-    iterations = 0
+    iterations, residual = 0, 0.0
     for lo, hi in _blocks(flat.size):
-        s, rho_dot, sigma_dot, theta, residual = (v[lo:hi] for v in views)
+        s, sigma_dot, theta = (v[lo:hi] for v in views)
         rho, angle, k1, tmp, f, inject = work[:, : hi - lo]
         np.multiply(su2, flat[lo:hi], out=inject)
         np.add(inject, sb2, out=inject)
@@ -281,8 +275,8 @@ def _fixed_point(dot, params: KernelParams):
             np.multiply(sw2 * a, k1, out=f)
             np.add(f, inject, out=f)
             np.subtract(f, s, out=f)
-            np.abs(f, out=residual)
-            if residual.max() <= _ROOT_TOL:
+            block_residual = np.abs(f, out=tmp).max()
+            if block_residual <= _ROOT_TOL:
                 break
             np.divide(angle, np.pi, out=tmp)
             np.multiply(sw2, tmp, out=tmp)
@@ -291,12 +285,13 @@ def _fixed_point(dot, params: KernelParams):
             np.subtract(s, tmp, out=s)
             np.clip(s, -a, a, out=s)
         iterations = max(iterations, step)
-        if residual.max() > _ROOT_TOL:
+        residual = max(residual, block_residual)
+        if block_residual > _ROOT_TOL:
             raise ConvergenceError(
                 f"covariance fixed point not found in {_MAX_NEWTON_ITER} "
-                f"iterations (max residual {residual.max():.3e})"
+                f"iterations (max residual {block_residual:.3e})"
             )
-        np.divide(angle, np.pi, out=rho_dot)
+        rho_dot = np.divide(angle, np.pi, out=angle)
         np.multiply(sw2, rho_dot, out=sigma_dot)
         np.subtract(1.0, sigma_dot, out=tmp)
         if np.any(np.abs(tmp, out=f) < _POLE_TOL):
@@ -306,27 +301,20 @@ def _fixed_point(dot, params: KernelParams):
         np.multiply(a, k1, out=k1)
         np.add(theta, k1, out=theta)
         np.multiply(params.sigma_v_sq, theta, out=theta)
-    return s_all, rho_dot_all, sigma_dot_all, theta_all, iterations, residual_all
+    return (*outputs, iterations, residual)
 
 
 def theta_deq_grid(dot, params: KernelParams):
     """Vectorized depth-limit kernel over an array of inner products."""
-    return _maybe_scalar(_fixed_point(dot, params)[3], dot)
+    return _maybe_scalar(_fixed_point(dot, params)[2], dot)
 
 
 def theta_deq(dot: float, params: KernelParams) -> FixedPointResult:
     """Depth-limit kernel for one pair, with the fixed-point diagnostics."""
-    s, rho_dot, sigma_dot, theta, iterations, residual = _fixed_point(
-        float(dot), params
-    )
-    return FixedPointResult(
-        rho_star=float(s),
-        rho_dot_star=float(rho_dot),
-        sigma_dot_star=float(sigma_dot),
-        theta=float(theta),
-        iterations=iterations,
-        residual=float(residual),
-    )
+    s, sigma_dot, theta, iterations, residual = _fixed_point(float(dot), params)
+    return FixedPointResult(rho_star=float(s), sigma_dot_star=float(sigma_dot),
+                            theta=float(theta), iterations=iterations,
+                            residual=float(residual))
 
 
 def theta_linear_deq(dot, params: KernelParams):

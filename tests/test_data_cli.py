@@ -26,7 +26,6 @@ from deqntk.data import (
     load_cifar10,
     load_idx_pair,
     load_mnist,
-    normalize_pixels,
 )
 
 
@@ -121,22 +120,6 @@ class TestCifarLoader:
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
         # the forced zero pixel maps to the uniform unit vector
         assert np.allclose(ds.features[0, 0, 0], 1.0 / np.sqrt(3.0))
-
-    def test_zero_pixel_rule_direct(self):
-        img = np.zeros((1, 2, 2, 3))
-        out = normalize_pixels(img)
-        assert np.allclose(out, 1.0 / np.sqrt(3.0))
-
-    def test_normalize_pixels_leaves_its_input(self):
-        ints = np.arange(12, dtype=np.uint8).reshape(1, 2, 2, 3)
-        out = normalize_pixels(ints)
-        assert out.dtype == float and np.array_equal(ints.ravel(), np.arange(12))
-        assert np.allclose(np.linalg.norm(out, axis=-1), 1.0)
-        floats = ints / 255.0
-        kept = floats.copy()
-        again = normalize_pixels(floats)
-        assert again is not floats and np.array_equal(floats, kept)
-        assert np.allclose(again, out, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("normalization", [UNIT_SAMPLE, UNIT_PIXEL])
     def test_one_float_copy_normalized_in_place(self, tmp_path, normalization):
@@ -307,6 +290,14 @@ class TestCli:
         assert result.exit_code == 0
         assert "accuracy =" in result.output
 
+    @pytest.mark.parametrize("sizes", [["--n-train", "45", "--n-test", "10"],
+                                       ["--n-train", "50"]])
+    def test_regress_oversize_split_exits_config(self, tmp_path, sizes):
+        write_idx(tmp_path, n=50)
+        result = CliRunner().invoke(main, ["regress", "--path", str(tmp_path), *sizes])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert "not enough samples for the requested split" in result.output
+
     def test_cdeq_command(self, tmp_path):
         out = tmp_path / "cdeq"
         result = CliRunner().invoke(
@@ -413,7 +404,44 @@ def _manifest(out):
                 if not line.startswith("wall_time_seconds"))
 
 
+#: Count and list options at values no run can use.
+UNUSABLE = [
+    ("cdeq", "--images", "0"), ("cdeq", "--size", "0"), ("cdeq", "--channels", "0"),
+    ("spectrum", "--n", "0"), ("trace", "--n", "0"), ("trace", "--trials", "0"),
+    ("residual", "--seeds", "0"), ("residual", "--input-dim", "0"),
+    ("residual", "--widths", "0"), ("residual", "--widths", ""),
+    ("regress", "--n-train", "0"), ("regress", "--n-test", "-3"),
+    ("depth-sweep", "--n-train", "0"), ("depth-sweep", "--n-test", "0"),
+    ("depth-sweep", "--reps", "0"), ("depth-sweep", "--depths", ""),
+    ("depth-sweep", "--depths", "1,-1"), ("depth-sweep", "--depths", "1,x"),
+]
+
+
 class TestRunner:
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize("command, option, value", UNUSABLE)
+    def test_counts_and_lists_checked_when_parsed(self, tmp_path, command, option,
+                                                  value, from_config):
+        args = [command, "--out", str(tmp_path / "out")]
+        if from_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{option[2:]} = {value}\n")
+            args += ["--config", str(cfg)]
+        else:
+            args += [option, value]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert f"Invalid value for '{option}'" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_list_options_recorded_as_given(self, tmp_path):
+        result = CliRunner().invoke(main, [
+            "residual", "--widths", "32, 64", "--seeds", "1", "--input-dim", "3",
+            "--sw2", "0.3", "--su2", "0.7", "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 0, result.output
+        assert _manifest(tmp_path)["widths"] == "32, 64"
+
     @pytest.mark.parametrize("name", sorted(main.commands))
     def test_config_file_equals_flags(self, tmp_path, name):
         settings, extras = _settings_and_extras(name, tmp_path)

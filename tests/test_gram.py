@@ -1,8 +1,10 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
@@ -90,9 +92,26 @@ class TestAssembly:
                 assert abs(G[i, j] - theta_oracle(d, P)) <= 1e-8
 
     def test_symmetry_and_constant_diagonal(self):
-        X = unit_rows(20, 30, seed=2)
-        G = assemble_gram(X, DEQ_NTK, P).values
-        assert np.max(np.abs(G - G.T)) <= 1e-12
+        # Every self Gram solves its upper triangle and mirrors it.  At
+        # n = 300 the triangle's 45,150 entries span two Newton blocks.
+        cases = [
+            (DEQ_NTK, P, None),
+            (DEQ_NTK, KernelParams(0.3, 0.2, sigma_b_sq=0.5, activation=LINEAR), None),
+            (FINITE_DEPTH_NTK, KernelParams(0.6, 0.4), 50),
+            (VANILLA_NTK, KernelParams(1.0, 0.0), 10),
+        ]
+        for n in (20, 300):
+            X = unit_rows(n, 30, seed=2)
+            dots = gram._dot_matrix(X)
+            for tag, p, depth in cases:
+                G = assemble_gram(X, tag, p, depth).values
+                assert np.array_equal(G, G.T), (n, tag, p)
+                assert np.ptp(np.diag(G)) <= 1e-12
+                full = kernel_from_dots(dots, tag, p, depth)
+                assert np.all(np.abs(G - full) <= 1e-12 * np.abs(full)), (n, tag, p)
+        imgs = unit_images(6, 5, 4, 2, seed=2)
+        G = assemble_gram(imgs, CDEQ_NTK, P, filter_size=3).values
+        assert np.array_equal(G, G.T)
         assert np.ptp(np.diag(G)) <= 1e-12
 
     @given(st.integers(0, 2**31 - 1))
@@ -245,6 +264,49 @@ class TestRegression:
         assert record.levelno == logging.WARNING
         assert record.name == "deqntk.gram"
         assert "jitter 1e-10" in record.getMessage()
+        # The accepted step is one factorization of K + (r + jitter * mean
+        # diagonal) I; two all-ones blocks leave zero pivots at jitter 0.
+        K = np.kron(np.eye(2), np.ones((5, 5)))
+        rng = np.random.default_rng(0)
+        cross, test_labels = rng.standard_normal((40, 10)), rng.integers(0, 10, 40)
+        acc = regress_and_score(K, cross, labels, test_labels, 1e-30)
+        mean_diag = 1.0
+        r = 1e-30 * mean_diag / 10
+        M = K + (r + 1e-10 * mean_diag) * np.eye(10)
+        alpha = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M), encode_labels(labels, 10))
+        assert acc == np.mean(np.argmax(cross @ alpha, axis=1) == test_labels)
+
+
+def traced_peak(f, *args):
+    """Peak traced allocation of ``f(*args)`` in bytes."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Peaks at n = 1000 in units of one n x n float64 array, 8 n^2 bytes.
+    The self Gram holds the dot matrix, then the triangle's dots and its
+    Newton outputs, then the result; the regression holds one shifted copy
+    of K, which LAPACK factors in place."""
+
+    n = 1000
+
+    def test_self_gram_peak(self):
+        X = unit_rows(self.n, 50, seed=1)
+        peak = traced_peak(assemble_gram, X, DEQ_NTK, P)
+        assert peak <= 3.5 * 8 * self.n**2
+
+    def test_regression_peak(self):
+        X = unit_rows(self.n, 50, seed=1)
+        G = assemble_gram(X, DEQ_NTK, P).values
+        cross = G[:100].copy()
+        labels = np.arange(self.n) % 10
+        peak = traced_peak(regress_and_score, G, cross, labels, labels[:100], 1e-4)
+        assert peak <= 1.6 * 8 * self.n**2
 
 
 def data_dots(n=50, m=200, seed=0):
@@ -437,6 +499,14 @@ class TestSweeps:
         with pytest.raises(DomainError):
             depth_sweep(X, np.arange(20) % 2, [1], P, vanilla, reps=1,
                         n_train=10, n_test=5, num_classes=2)
+
+    @pytest.mark.parametrize("n_train, n_test", [(45, 10), (50, 0), (0, 10)])
+    def test_sweep_split_sizes_checked(self, n_train, n_test):
+        X = unit_rows(50, 6, seed=8)
+        vanilla = KernelParams(sigma_w_sq=1.0, sigma_u_sq=0.0)
+        with pytest.raises(ValueError, match="not enough samples"):
+            depth_sweep(X, np.arange(50) % 2, [1], P, vanilla, reps=1,
+                        n_train=n_train, n_test=n_test, num_classes=2)
 
     def test_sweep_deterministic_in_seed(self):
         X = unit_rows(50, 12, seed=8)
