@@ -62,9 +62,9 @@ class FixedPointResult:
 def _as_correlation(rho):
     """Validate and clamp correlations to [-1, 1]."""
     arr = np.asarray(rho, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + BOUNDARY_SLACK):
+    if not np.all(np.abs(arr) <= 1.0 + BOUNDARY_SLACK):
         bad = np.max(np.abs(arr))
-        raise DomainError(f"correlation magnitude {bad} exceeds 1")
+        raise DomainError(f"correlation magnitude {bad} is not at most 1")
     return np.clip(arr, -1.0, 1.0)
 
 
@@ -72,7 +72,7 @@ def _check_unit(x, message):
     """Raise ``DomainError(message)`` unless every vector along the last axis
     of ``x`` has unit norm within ``_UNIT_NORM_TOL``."""
     norms = np.sqrt(np.einsum("...i,...i->...", x, x))
-    if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
+    if not np.all(np.abs(norms - 1.0) <= _UNIT_NORM_TOL):
         raise DomainError(message)
 
 
@@ -286,7 +286,7 @@ def _fixed_point(dot, params: KernelParams):
             np.clip(s, -a, a, out=s)
         iterations = max(iterations, step)
         residual = max(residual, block_residual)
-        if block_residual > _ROOT_TOL:
+        if not block_residual <= _ROOT_TOL:
             raise ConvergenceError(
                 f"covariance fixed point not found in {_MAX_NEWTON_ITER} "
                 f"iterations (max residual {block_residual:.3e})"

@@ -7,6 +7,7 @@ into the closed-form linear-DEQ kernel.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 NORMALIZED_RELU = "normalized-relu"
@@ -29,10 +30,10 @@ class KernelParams:
 
     def __post_init__(self):
         for name in ("sigma_w_sq", "sigma_u_sq", "sigma_b_sq"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.sigma_v_sq <= 0:
-            raise ValueError("sigma_v_sq must be positive")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not 0 < self.sigma_v_sq < math.inf:
+            raise ValueError("sigma_v_sq must be finite and positive")
         if self.activation not in (NORMALIZED_RELU, LINEAR):
             raise ValueError(f"unknown activation {self.activation!r}")
 

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from deqntk import (
+    LINEAR,
+    NORMALIZED_RELU,
     ConvergenceError,
     DomainError,
     KernelParams,
@@ -19,6 +23,7 @@ from deqntk.conv import (
     patch_trace,
     pixel_inner_tensor,
     validate_unit_pixels,
+    _box_sum,
     _cdeq_pairs,
     _sigma_update,
     _tensor_diag,
@@ -146,6 +151,41 @@ class TestPatchTrace:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
+class TestBoxSum:
+    """Each window sum is within the recursive-summation bound (q^2 - 1) u
+    sum|window| of the exact sum, u = 2^-53."""
+
+    @staticmethod
+    def assert_within_bound(got, windows, q):
+        for value, window in zip(got.ravel(), windows):
+            bound = (q * q - 1) * 2.0**-53 * math.fsum(abs(t) for t in window)
+            assert abs(value - math.fsum(window)) <= bound
+
+    @pytest.mark.parametrize("low", [0.0, -3.0])
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_slices(self, low, q):
+        M = np.random.default_rng(7).uniform(low, 3.0, (3, 32, 32))
+        r = q // 2
+        windows = [
+            M[k, max(i - r, 0) : i + r + 1, max(j - r, 0) : j + r + 1].ravel().tolist()
+            for k, i, j in np.ndindex(M.shape)
+        ]
+        self.assert_within_bound(_box_sum(M, q, (1,), (2,)), windows, q)
+
+    @pytest.mark.parametrize("low", [0.0, -3.0])
+    def test_patch_trace(self, low):
+        rng = np.random.default_rng(8)
+        for _ in range(2):
+            M = rng.uniform(low, 3.0, (6, 6, 6, 6))
+            windows = [
+                [M[i + a, j + b, k + a, l + b]
+                 for a in (-1, 0, 1) for b in (-1, 0, 1)
+                 if all(0 <= v < 6 for v in (i + a, j + b, k + a, l + b))]
+                for i, j, k, l in np.ndindex(M.shape)
+            ]
+            self.assert_within_bound(patch_trace(M, 3), windows, 3)
+
+
 class TestKStep:
     def test_no_recurrence_reduces_to_injection(self):
         p0 = KernelParams(sigma_w_sq=0.0, sigma_u_sq=1.0)
@@ -218,6 +258,22 @@ class TestFixedPoint:
         x, y = unit_images(2, 4, 4, 3)
         with pytest.raises(ConvergenceError):
             cdeq_sigma_fixed_point(x, y, 3, P, tol=1e-12, max_iter=1)
+
+    @pytest.mark.parametrize("shape", [(4, 5, 3), (4, 4, 2)])
+    def test_rejects_mismatched_shapes(self, shape):
+        x = unit_images(1, 4, 4, 3)[0]
+        y = unit_images(1, *shape)[0]
+        with pytest.raises(ValueError, match="image shapes differ"):
+            cdeq_sigma_fixed_point(x, y, 3, P)
+
+    def test_zero_injection_rejected(self):
+        # every covariance decays to 0, and d* = 0 has no correlation
+        p = KernelParams(sigma_w_sq=0.5, sigma_u_sq=0.0)
+        x, y = unit_images(2, 4, 4, 3)
+        with pytest.raises(DomainError, match="sigma_u_sq"):
+            cdeq_sigma_fixed_point(x, y, 3, p)
+        with pytest.raises(DomainError, match="sigma_u_sq"):
+            cdeq_kernel_pair(x, y, 3, p)
 
     def test_rejects_unnormalized_pixels(self):
         rng = np.random.default_rng(0)
@@ -319,11 +375,35 @@ class TestSliceSolver:
         with pytest.raises(ConvergenceError) as info:
             _cdeq_pairs(imgs, imgs, [0, 1, 2], [0, 2, 1], 3, P)
         msg = str(info.value)
-        assert msg.startswith("kernel fixed point: 3 of 3 image pairs")
-        assert "images (0, 0)" in msg and "trace error bound" in msg
+        # the self pair (0, 0) takes its closed form and does not iterate
+        assert msg.startswith("kernel fixed point: 2 of 3 image pairs")
+        assert "images (1, 2)" in msg and "trace error bound" in msg
 
     def test_rejects_mismatched_shapes(self):
         x = unit_images(1, 4, 4, 3)[0]
         y = unit_images(1, 4, 5, 3)[0]
         with pytest.raises(ValueError, match="image shapes differ"):
             cdeq_kernel_pair(x, y, 3, P)
+
+
+class TestSelfPairs:
+    """A pair of equal images takes P * Q * d* / (1 - sigma_w_sq), d* =
+    sigma_u_sq / (1 - sigma_w_sq), without iterating."""
+
+    @pytest.mark.parametrize("activation", [NORMALIZED_RELU, LINEAR])
+    @pytest.mark.parametrize("sw2, su2", [(0.65, 0.35), (0.3, 0.2), (0.8, 0.5)])
+    def test_closed_form(self, activation, sw2, su2):
+        p = KernelParams(sigma_w_sq=sw2, sigma_u_sq=su2, activation=activation)
+        x = unit_images(1, 5, 4, 3, seed=13)[0]
+        d = su2 / (1 - sw2)
+        assert cdeq_kernel_pair(x, x, 3, p) == 5 * 4 * d / (1 - sw2)
+
+    def test_blocks_of_self_pairs(self, monkeypatch):
+        import deqntk.conv as conv
+
+        imgs = unit_images(3, 4, 3, 2, seed=14)
+        rows, cols = [0, 1, 0, 2, 1], [0, 1, 2, 2, 0]
+        want = [cdeq_kernel_pair(imgs[i], imgs[j], 3, P) for i, j in zip(rows, cols)]
+        # two pairs per block: self pairs only, then one of each, then one
+        monkeypatch.setattr(conv, "_BLOCK", 2 * 4 * 3)
+        assert np.array_equal(_cdeq_pairs(imgs, imgs, rows, cols, 3, P), want)

@@ -15,6 +15,7 @@ from deqntk import (
     KernelParams,
     finite_depth_theta,
     theta_deq,
+    theta_deq_grid,
     theta_linear_deq,
 )
 from deqntk import gram
@@ -177,7 +178,7 @@ class TestAssembly:
 
     def test_cdeq_budget_names_stage_and_pair(self):
         # a linear map at sigma_w_sq = 0.99 contracts too slowly for the
-        # 30-step covariance budget; self pairs are pinned and stop at once
+        # 30-step covariance budget; self pairs take their closed form
         p = KernelParams(sigma_w_sq=0.99, sigma_u_sq=0.01, activation="linear")
         imgs = unit_images(3, 4, 4, 2, seed=6)
         with pytest.raises(ConvergenceError) as info:
@@ -185,6 +186,35 @@ class TestAssembly:
         msg = str(info.value)
         assert msg.startswith("covariance fixed point: 3 of 6 image pairs")
         assert "in 30 iterations" in msg and "images (0, 1)" in msg
+
+
+def with_nan(a):
+    a = a.copy()
+    a.flat[a.size // 2] = np.nan
+    return a
+
+
+class TestNonFinite:
+    """A NaN input raises DomainError at every entry point, and a
+    non-finite variance is rejected when the parameters are built."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: theta_deq(np.nan, P),
+        lambda: theta_deq_grid(with_nan(np.linspace(-0.5, 0.5, 5)), P),
+        lambda: finite_depth_theta(with_nan(np.linspace(-0.5, 0.5, 5)), 10, P),
+        lambda: assemble_gram(with_nan(unit_rows(4, 8)), DEQ_NTK, P),
+        lambda: assemble_gram(with_nan(unit_images(3, 4, 4, 2)), CDEQ_NTK, P),
+    ], ids=["scalar", "grid", "finite-depth", "dense-gram", "conv-gram"])
+    def test_nan_input_rejected(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["sigma_w_sq", "sigma_u_sq", "sigma_b_sq",
+                                      "sigma_v_sq"])
+    def test_non_finite_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            KernelParams(**{"sigma_w_sq": 0.5, "sigma_u_sq": 0.5, name: value})
 
 
 class TestLabels:
