@@ -2,13 +2,13 @@
 
 Dense kernels (fixed-point and finite-depth, for either activation) depend
 on a pair only through its inner product, so their Grams are vectorized over
-the dataset's dot products.  A finite-depth Gram runs the layer
-recursion only at a few Chebyshev nodes in the angle arccos(x.y) over the
-range its entries span, and evaluates that checked fit at every entry.  A self
-Gram of any kernel solves its upper triangle once and mirrors it.  The
-convolutional kernel is solved in one batched call over the image pairs of
-that triangle (or of the test x train grid); each entry is a pure function
-of its two images and equals ``cdeq_kernel_pair`` on that pair exactly.
+the dataset's dot products.  A nonlinear dense Gram runs its exact solver
+only at a few Chebyshev nodes in the angle arccos(x.y) over the range its
+entries span, and evaluates that checked fit at every entry.  A self Gram of
+any kernel solves its upper triangle once and mirrors it.  The convolutional
+kernel is solved in one batched call over the image pairs of that triangle
+(or of the test x train grid); each entry is a pure function of its two
+images and equals ``cdeq_kernel_pair`` on that pair exactly.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .conv import _cdeq_pairs
 from .kernel import (
     _BLOCK, _as_correlation, _check_unit, finite_depth_theta, theta_deq_grid,
 )
-from .params import KernelParams
+from .params import LINEAR, KernelParams
 
 log = logging.getLogger(__name__)
 
@@ -35,14 +35,14 @@ CDEQ_NTK = "cdeq-ntk"
 #: Relative jitter ladder tried when a regularized factorization fails.
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 
-#: A finite-depth fit is accepted once max|fit - exact| at its check points
+#: An angle fit is accepted once max|fit - exact| at its check points
 #: is at most FIT_TOL times the largest |exact| there.
 FIT_TOL = 2e-11
 #: Fit degrees tried in turn on one range of angles.
 _FIT_DEGREES = (16, 32, 64, 128)
 #: When no degree fits the entries' whole range of angles, the lower end
 #: moves up in turn to the smallest angle from each of these fractions of the
-#: largest one, and the entries below it run the exact recursion.  Near the
+#: largest one, and the entries below it run the exact solver.  Near the
 #: cusp at dot = 1 the kernel is too sharp in the angle for the last degree
 #: (vanilla kernel, depth 50-500), or the exact values too noisy.  With
 #: angles up to 1.4, fits pass from a lowest angle of about 1/1400 of the
@@ -63,7 +63,8 @@ def _dot_matrix(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     [-1, 1]; without ``cols``, the self Gram of ``rows``."""
     for x in (rows,) if cols is None else (rows, cols):
         _check_unit(x, "dense kernels require unit-normalized samples")
-    dots = np.clip(rows @ (rows if cols is None else cols).T, -1.0, 1.0)
+    dots = rows @ (rows if cols is None else cols).T
+    np.clip(dots, -1.0, 1.0, out=dots)
     if cols is None:
         # The self inner product is 1 by definition, and at the kernel's
         # square-root cusp there the BLAS product's rounding must not leak.
@@ -79,25 +80,33 @@ def kernel_from_dots(
 ) -> np.ndarray:
     """Kernel values for a matrix of pairwise inner products (dense tags)."""
     if kernel_tag == DEQ_NTK:
-        return theta_deq_grid(dots, params)
+        if params.activation == LINEAR:
+            # affine in x.y, so Newton starts at the root; crosses 0, so no relative fit bound
+            return theta_deq_grid(dots, params)
+        return _fitted_gram(dots, lambda x: theta_deq_grid(x, params),
+                            kernel_tag, "the exact Newton solve", shared_stop=True)
     if kernel_tag in (FINITE_DEPTH_NTK, VANILLA_NTK):
         if depth is None:
             raise ValueError(f"{kernel_tag} requires a depth")
         if kernel_tag == VANILLA_NTK and params.sigma_u_sq != 0.0:
             raise ValueError("vanilla kernel expects sigma_u_sq = 0")
-        return _finite_depth_gram(dots, kernel_tag, params, depth)
+        return _fitted_gram(dots, lambda x: finite_depth_theta(x, depth, params),
+                            f"{kernel_tag} depth {depth}", "the exact recursion")
     raise ValueError(f"unknown dense kernel tag {kernel_tag!r}")
 
 
-def _finite_depth_gram(dots, kernel_tag, params, depth):
-    """Finite-depth kernel values from a Chebyshev fit in phi = arccos(dot).
+def _fitted_gram(dots, exact, label, exact_name, shared_stop=False):
+    """Kernel values from a Chebyshev fit in phi = arccos(dot) to ``exact``,
+    the kernel's solver over an array of dots.
 
     The kernel is smooth in phi, so it is interpolated on [phi_min, phi_max]
-    of the entries with dot < 1; entries with dot = 1 take the exact value
-    at 1.  When no degree fits that range, the lower end moves up (see
-    ``_FIT_CUTS``) and the entries below it run the exact recursion.  Ranges
-    of one angle, and ranges no lower end fits, run it on every entry.
-    Every kernel value comes from the module's ``finite_depth_theta``.
+    of the entries with dot < 1.  Entries with dot = 1 take the exact value
+    at 1, solved with the fit's nodes, or alone if ``shared_stop`` (a Newton
+    block stops on its slowest entry, so each value depends on the others).
+    When no degree fits that range, the lower end moves up (see
+    ``_FIT_CUTS``) and the entries below it run ``exact``.  Ranges of one
+    angle, and ranges no lower end fits, run it on every entry.  ``label``
+    and ``exact_name`` name the kernel and its solver in the log.
     """
     dots = np.asarray(dots, dtype=float)
     flat = dots.reshape(-1)
@@ -109,24 +118,22 @@ def _finite_depth_gram(dots, kernel_tag, params, depth):
         lo = min(lo, phi.min(where=phi > 0.0, initial=np.pi))
         hi = max(hi, phi.max())
     if not hi > lo:
-        return finite_depth_theta(dots, depth, params)
+        return exact(dots)
     cut = lo
-    coef, at_one, err = _angle_fit(depth, params, cut, hi)
+    coef, at_one, err = _angle_fit(exact, cut, hi)
     if err > FIT_TOL:
         # the smallest angle from each fraction of phi_max on
         cuts = {out.min(where=out >= f * hi, initial=hi) for f in _FIT_CUTS}
         for cut in sorted(c for c in cuts if lo < c < hi):
-            coef, at_one, err = _angle_fit(depth, params, cut, hi)
+            coef, at_one, err = _angle_fit(exact, cut, hi)
             if err <= FIT_TOL:
                 break
     if err > FIT_TOL:
-        log.warning(
-            "%s depth %d: Chebyshev fit on angles [%.6g, %.6g] reached %.2e "
-            "relative at degree %d from lower end %.6g, above %.0e; running "
-            "the exact recursion",
-            kernel_tag, depth, lo, hi, err, coef.size - 1, cut, FIT_TOL,
-        )
-        return finite_depth_theta(dots, depth, params)
+        log.warning("%s: Chebyshev fit on angles [%.6g, %.6g] reached %.2e "
+                    "relative at degree %d from lower end %.6g, above %.0e; running %s",
+                    label, lo, hi, err, coef.size - 1, cut, FIT_TOL, exact_name)
+        return exact(dots)
+    at_one = exact(np.ones(1))[0] if shared_stop else at_one
     near = np.flatnonzero((out > 0.0) & (out < cut)) if cut > lo else []
     mid, half = 0.5 * (hi + cut), 0.5 * (hi - cut)
     for a in range(0, flat.size, _BLOCK):
@@ -136,20 +143,17 @@ def _finite_depth_gram(dots, kernel_tag, params, depth):
         phi[:] = chebyshev.chebval(phi, coef)
         np.copyto(phi, at_one, where=flat[a : a + _BLOCK] >= 1.0)
     if len(near):
-        out[near] = finite_depth_theta(flat[near], depth, params)
-        log.info(
-            "%s depth %d: Chebyshev fit on angles [%.6g, %.6g]; %d entries "
-            "below it ran the exact recursion",
-            kernel_tag, depth, cut, hi, len(near),
-        )
+        out[near] = exact(flat[near])
+        log.info("%s: Chebyshev fit on angles [%.6g, %.6g]; %d entries below it ran %s",
+                 label, cut, hi, len(near), exact_name)
     return out.reshape(dots.shape)
 
 
-def _angle_fit(depth, params, lo, hi):
-    """Chebyshev coefficients of the finite-depth kernel in u = (phi - mid) /
-    half on [lo, hi] = [mid - half, mid + half], the exact value at dot = 1
-    and the fit's relative error at its check points, for the first degree
-    in ``_FIT_DEGREES`` whose error is within ``FIT_TOL`` (else the last).
+def _angle_fit(exact, lo, hi):
+    """Chebyshev coefficients of ``exact`` in u = (phi - mid) / half on [lo,
+    hi] = [mid - half, mid + half], the exact value at dot = 1 and the fit's
+    relative error at its check points, for the first degree in
+    ``_FIT_DEGREES`` whose error is within ``FIT_TOL`` (else the last).
 
     A degree-n fit interpolates at the n + 1 Chebyshev points of the first
     kind and is checked at the n + 2 points interleaved with them, the
@@ -158,7 +162,7 @@ def _angle_fit(depth, params, lo, hi):
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     for n in _FIT_DEGREES:
         u = np.cos(np.pi * np.arange(2 * n + 3) / (2 * n + 2))
-        values = finite_depth_theta(np.append(np.cos(mid + half * u), 1.0), depth, params)
+        values = exact(np.append(np.cos(mid + half * u), 1.0))
         at_one, values = values[-1], values[:-1]
         coef = chebyshev.chebfit(u[1::2], values[1::2], n)
         miss = np.max(np.abs(chebyshev.chebval(u[::2], coef) - values[::2]))

@@ -319,16 +319,22 @@ def traced_peak(f, *args):
 
 class TestMemory:
     """Peaks at n = 1000 in units of one n x n float64 array, 8 n^2 bytes.
-    The self Gram holds the dot matrix, then the triangle's dots and its
-    Newton outputs, then the result; the regression holds one shifted copy
-    of K, which LAPACK factors in place."""
+    The self Gram holds the dot matrix, clipped in place, then the
+    triangle's dots and its fitted values, then the result; the cross Gram
+    holds its dot matrix and its fitted values; the regression holds one
+    shifted copy of K, which LAPACK factors in place."""
 
     n = 1000
 
     def test_self_gram_peak(self):
         X = unit_rows(self.n, 50, seed=1)
         peak = traced_peak(assemble_gram, X, DEQ_NTK, P)
-        assert peak <= 3.5 * 8 * self.n**2
+        assert peak <= 2.0 * 8 * self.n**2
+
+    def test_cross_gram_peak(self):
+        X = unit_rows(self.n, 50, seed=1)
+        peak = traced_peak(cross_gram, X[: self.n // 2], X, DEQ_NTK, P)
+        assert peak <= 1.5 * 8 * self.n**2
 
     def test_regression_peak(self):
         X = unit_rows(self.n, 50, seed=1)
@@ -370,7 +376,39 @@ FIT_CASES = {
         KernelParams(0.8, 0.0, sigma_b_sq=0.5),
         KernelParams(0.0, 0.0),  # the diagonal vanishes: a zero kernel
     ],
+    DEQ_NTK: [
+        # first, as the single case of the near-duplicate test: its Newton
+        # values are too noisy for the fit within ~1e-8 of the cusp
+        KernelParams(0.9, 0.1),
+        KernelParams(0.1, 0.9),
+        KernelParams(0.5, 0.5),
+        KernelParams(0.5, 0.3, sigma_b_sq=0.4),
+        KernelParams(0.3, 0.2, sigma_b_sq=0.5),
+        # its value at dot = 1, solved among a fit's nodes, is 1.6e-7 off
+        # the one-element value
+        KernelParams(0.9, 0.1, sigma_b_sq=0.2),
+    ],
 }
+
+
+def fitted_tags(depths):
+    """(tag, depth) of each finite-depth tag at ``depths``, then the fixed
+    point, which has no depth."""
+    return [(tag, d) for tag in (FINITE_DEPTH_NTK, VANILLA_NTK) for d in depths] + [
+        pytest.param(DEQ_NTK, None, id="deq-ntk")
+    ]
+
+
+def exact_solver(tag):
+    """Name in ``gram`` of the exact solver the fit of ``tag`` samples."""
+    return "theta_deq_grid" if tag == DEQ_NTK else "finite_depth_theta"
+
+
+def exact_values(dots, tag, p, depth):
+    """The exact solver of ``tag`` on every entry."""
+    if tag == DEQ_NTK:
+        return theta_deq_grid(dots, p)
+    return finite_depth_theta(dots, depth, p)
 
 
 def mp_finite_depth(dot, depth, p):
@@ -396,78 +434,128 @@ def mp_finite_depth(dot, depth, p):
         diag = sw2 * diag + su2 + sb2
 
 
-def count_exact_entries(monkeypatch):
-    """Record the size of every ``gram.finite_depth_theta`` call."""
+def mp_deq(dot, p, dps=60):
+    """Depth-limit kernel of one pair at ``dps`` digits: the covariance
+    fixed point by bisection (the map minus s is decreasing in s), then the
+    readout at that point."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    sw2, su2, sb2 = (mp.mpf(v) for v in (p.sigma_w_sq, p.sigma_u_sq, p.sigma_b_sq))
+    a = (su2 + sb2) / (1 - sw2)
+
+    def duals(s):
+        rho = max(-1, min(1, s / a))
+        k0 = (mp.pi - mp.acos(rho)) / mp.pi
+        return k0, (mp.sqrt(1 - rho * rho) + mp.pi * k0 * rho) / mp.pi
+
+    inject = su2 * mp.mpf(float(dot)) + sb2
+    lo, hi = -a, a
+    for _ in range(4 * dps):
+        s = (lo + hi) / 2
+        if sw2 * a * duals(s)[1] + inject - s > 0:
+            lo = s
+        else:
+            hi = s
+    k0, k1 = duals(s)
+    return float(mp.mpf(p.sigma_v_sq) * (k0 * s / (1 - sw2 * k0) + a * k1))
+
+
+def count_exact_entries(monkeypatch, name="finite_depth_theta"):
+    """Record the size of every call of ``gram.<name>``."""
     sizes = []
-    exact = gram.finite_depth_theta
+    exact = getattr(gram, name)
 
     def counted(dot, *args, **kwargs):
         sizes.append(np.size(dot))
         return exact(dot, *args, **kwargs)
 
-    monkeypatch.setattr(gram, "finite_depth_theta", counted)
+    monkeypatch.setattr(gram, name, counted)
     return sizes
 
 
 class TestFiniteDepthFit:
-    @pytest.mark.parametrize("depth", [0, 1, 10, 50, 500])
-    @pytest.mark.parametrize("tag", [FINITE_DEPTH_NTK, VANILLA_NTK])
+    """The checked angle fit of every nonlinear dense kernel: the
+    finite-depth tags and the fixed point (``DEQ_NTK``)."""
+
+    @pytest.mark.parametrize("tag, depth", fitted_tags((0, 1, 10, 50, 500)))
     def test_matches_exact_within_tolerance(self, tag, depth, monkeypatch):
         for p in FIT_CASES[tag]:
-            for dots, fitted in ((data_dots(), True), (wide_dots(), False)):
-                sizes = count_exact_entries(monkeypatch)
+            for dots, fitted in ((data_dots(), True), (wide_dots(), tag == DEQ_NTK)):
+                sizes = count_exact_entries(monkeypatch, exact_solver(tag))
                 got = kernel_from_dots(dots, tag, p, depth)
                 monkeypatch.undo()
-                want = finite_depth_theta(dots, depth, p)
+                want = exact_values(dots, tag, p, depth)
                 assert got.shape == dots.shape
                 bound = FIT_TOL * np.max(np.abs(want))
                 worst = np.unravel_index(np.argmax(np.abs(got - want)), dots.shape)
                 if abs(got[worst] - want[worst]) > bound:
-                    # The exact recursion has rounding errors of its own
+                    # The exact solver has rounding errors of its own
                     # (1.6e-11 relative at sb2 > 0, depth 50, where the
                     # correlations approach 1); the fit must then be within
-                    # the tolerance of the 40-digit value.
-                    truth = mp_finite_depth(dots[worst], depth, p)
+                    # the tolerance of the high-precision value.
+                    truth = (mp_deq(dots[worst], p) if tag == DEQ_NTK
+                             else mp_finite_depth(dots[worst], depth, p))
                     assert abs(got[worst] - truth) <= bound, (p, depth, worst)
                 if fitted:
-                    # the recursion saw the fit's points, not the entries
+                    # the solver saw the fit's points, not the entries
                     assert max(sizes) < dots.size / 10, (p, depth, sizes)
 
-    @pytest.mark.parametrize("depth", [1, 50])
-    @pytest.mark.parametrize("tag", [FINITE_DEPTH_NTK, VANILLA_NTK])
+    @pytest.mark.parametrize("tag, depth", fitted_tags((1, 50)))
     def test_exact_where_dot_is_one(self, tag, depth, monkeypatch):
-        p = FIT_CASES[tag][0]
         dots = data_dots()
-        sizes = count_exact_entries(monkeypatch)
-        got = kernel_from_dots(dots, tag, p, depth)
-        assert max(sizes) < dots.size
-        assert np.all(np.diag(got) == finite_depth_theta(1.0, depth, p))
+        for p in FIT_CASES[tag]:
+            sizes = count_exact_entries(monkeypatch, exact_solver(tag))
+            got = kernel_from_dots(dots, tag, p, depth)
+            monkeypatch.undo()
+            assert max(sizes) < dots.size
+            one = theta_deq(1.0, p).theta if tag == DEQ_NTK else finite_depth_theta(1.0, depth, p)
+            assert np.all(np.diag(got) == one), p
 
-    @pytest.mark.parametrize("depth", [10, 50, 500])
-    @pytest.mark.parametrize("tag", [FINITE_DEPTH_NTK, VANILLA_NTK])
+    @pytest.mark.parametrize("tag, depth", fitted_tags((10, 50, 500)))
     def test_near_duplicates_alone_run_exact(self, tag, depth, monkeypatch, caplog):
         # A duplicated sample comes out of BLAS one ulp below 1.  The fit over
         # the whole range fails there; only the entries below the lower end
-        # that passes may run the recursion, the rest stays fitted.
+        # that passes may run the exact solver, the rest stays fitted.
         p = FIT_CASES[tag][0]
         dots = data_dots(n=100)
         near = [(0, 1), (1, 0), (2, 3), (3, 2)]
         dots[0, 1] = dots[1, 0] = 1.0 - 2.0**-52
         dots[2, 3] = dots[3, 2] = np.cos(1e-5)
-        sizes = count_exact_entries(monkeypatch)
+        sizes = count_exact_entries(monkeypatch, exact_solver(tag))
         with caplog.at_level(logging.INFO, logger="deqntk"):
             got = kernel_from_dots(dots, tag, p, depth)
         monkeypatch.undo()
-        want = finite_depth_theta(dots, depth, p)
+        want = exact_values(dots, tag, p, depth)
         assert sizes[-1] == len(near) and max(sizes) < dots.size / 10, sizes
-        for ij in near:
-            assert got[ij] == want[ij]
+        # Newton stops per block, so the near entries equal the solver on
+        # them alone; the layer recursion is elementwise.
+        idx = tuple(zip(*near))
+        assert np.array_equal(got[idx], exact_values(dots[idx], tag, p, depth))
         mask = np.ones(dots.shape, dtype=bool)
         mask[tuple(zip(*near))] = False
         assert np.max(np.abs(got - want)[mask]) <= FIT_TOL * np.max(want)
         [record] = caplog.records
         assert record.levelno == logging.INFO
-        assert "4 entries below it ran the exact recursion" in record.getMessage()
+        message = record.getMessage()
+        if tag == DEQ_NTK:
+            assert message.startswith("deq-ntk: Chebyshev fit") and "depth" not in message
+            assert "4 entries below it ran the exact Newton solve" in message
+        else:
+            assert message.startswith(f"{tag} depth {depth}: Chebyshev fit")
+            assert "4 entries below it ran the exact recursion" in message
+
+    def test_deq_near_contraction_limit_against_mpmath(self):
+        # At sw2 = 0.999 Newton's own values are ~1e-10 off near the cusp, so
+        # the fit is judged where it differs most from them, against the
+        # 60-digit fixed point.
+        p = KernelParams(0.999, 0.001)
+        for dots in (data_dots(), wide_dots()):
+            got = kernel_from_dots(dots, DEQ_NTK, p)
+            gap = np.abs(got - theta_deq_grid(dots, p)).reshape(-1)
+            for i in np.argsort(gap)[-5:]:
+                want = mp_deq(dots.flat[i], p)
+                assert abs(got.flat[i] - want) <= 2e-10 * abs(want), (dots.flat[i], gap[i])
 
     def test_degree_doubles_until_the_check_passes(self, monkeypatch, caplog):
         # Over angles [0.045, pi] the vanilla kernel at depth 50 needs degree
