@@ -268,6 +268,9 @@ def depth_sweep_cmd(params, data, n_train, n_test, depths, reps, reg_eps, seed):
 @click.option("--input-dim", type=_COUNT, default=10)
 def residual(params, widths, seeds, input_dim):
     """Relative error of finite-width empirical kernels against the limit."""
+    if params.sigma_u_sq + params.sigma_b_sq == 0.0:
+        raise click.BadParameter("with both at 0 the limit kernel is 0, so no relative "
+                                 "error exists", param_hint=["--su2", "--sb2"])
     width_list = _parse_int_list(widths)
     rows = []
     for n in width_list:

@@ -84,7 +84,7 @@ def kernel_from_dots(
             # affine in x.y, so Newton starts at the root; crosses 0, so no relative fit bound
             return theta_deq_grid(dots, params)
         return _fitted_gram(dots, lambda x: theta_deq_grid(x, params),
-                            kernel_tag, "the exact Newton solve", shared_stop=True)
+                            kernel_tag, "the exact Newton solve")
     if kernel_tag in (FINITE_DEPTH_NTK, VANILLA_NTK):
         if depth is None:
             raise ValueError(f"{kernel_tag} requires a depth")
@@ -95,18 +95,17 @@ def kernel_from_dots(
     raise ValueError(f"unknown dense kernel tag {kernel_tag!r}")
 
 
-def _fitted_gram(dots, exact, label, exact_name, shared_stop=False):
+def _fitted_gram(dots, exact, label, exact_name):
     """Kernel values from a Chebyshev fit in phi = arccos(dot) to ``exact``,
     the kernel's solver over an array of dots.
 
     The kernel is smooth in phi, so it is interpolated on [phi_min, phi_max]
     of the entries with dot < 1.  Entries with dot = 1 take the exact value
-    at 1, solved with the fit's nodes, or alone if ``shared_stop`` (a Newton
-    block stops on its slowest entry, so each value depends on the others).
-    When no degree fits that range, the lower end moves up (see
-    ``_FIT_CUTS``) and the entries below it run ``exact``.  Ranges of one
-    angle, and ranges no lower end fits, run it on every entry.  ``label``
-    and ``exact_name`` name the kernel and its solver in the log.
+    at 1, solved with the fit's nodes.  When no degree fits that range, the
+    lower end moves up (see ``_FIT_CUTS``) and the entries below it run
+    ``exact``.  Ranges of one angle, and ranges no lower end fits, run it on
+    every entry.  ``label`` and ``exact_name`` name the kernel and its
+    solver in the log.
     """
     dots = np.asarray(dots, dtype=float)
     flat = dots.reshape(-1)
@@ -133,7 +132,6 @@ def _fitted_gram(dots, exact, label, exact_name, shared_stop=False):
                     "relative at degree %d from lower end %.6g, above %.0e; running %s",
                     label, lo, hi, err, coef.size - 1, cut, FIT_TOL, exact_name)
         return exact(dots)
-    at_one = exact(np.ones(1))[0] if shared_stop else at_one
     near = np.flatnonzero((out > 0.0) & (out < cut)) if cut > lo else []
     mid, half = 0.5 * (hi + cut), 0.5 * (hi - cut)
     for a in range(0, flat.size, _BLOCK):

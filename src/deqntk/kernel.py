@@ -240,9 +240,11 @@ def _fixed_point(dot, params: KernelParams):
     point, which the last Newton step has already evaluated.
 
     Each block of entries runs Newton in block-sized work arrays until all
-    of its own entries have converged, then its readout.  Returns (s*,
-    sigma_dot*, theta, iterations, residual): three arrays shaped like
-    ``dot``, the most Newton steps any block took and the largest |F(s*)|.
+    of its own entries have converged, then its readout.  Entries with dot
+    >= 1 take the closed-form root s* = a (k0 = k1 = 1), not the value the
+    block's further steps would leave them at.  Returns (s*, sigma_dot*,
+    theta, iterations, residual): three arrays shaped like ``dot``, the
+    most Newton steps any block took and the largest |F(s*)|.
     """
     _as_correlation(dot)
     params.require_contraction()
@@ -287,10 +289,14 @@ def _fixed_point(dot, params: KernelParams):
         iterations = max(iterations, step)
         residual = max(residual, block_residual)
         if not block_residual <= _ROOT_TOL:
+            first = float(flat[lo + np.argmax(np.abs(f) > _ROOT_TOL)])
             raise ConvergenceError(
                 f"covariance fixed point not found in {_MAX_NEWTON_ITER} "
-                f"iterations (max residual {block_residual:.3e})"
+                f"iterations (max residual {block_residual:.3e}; first "
+                f"unconverged x.y = {first!r})"
             )
+        one = flat[lo:hi] >= 1.0
+        s[one], angle[one], k1[one] = a, np.pi, 1.0
         rho_dot = np.divide(angle, np.pi, out=angle)
         np.multiply(sw2, rho_dot, out=sigma_dot)
         np.subtract(1.0, sigma_dot, out=tmp)

@@ -410,6 +410,7 @@ UNUSABLE = [
     ("spectrum", "--n", "0"), ("trace", "--n", "0"), ("trace", "--trials", "0"),
     ("residual", "--seeds", "0"), ("residual", "--input-dim", "0"),
     ("residual", "--widths", "0"), ("residual", "--widths", ""),
+    ("residual", "--su2", "0"),  # with the default --sb2 0 the limit kernel is 0
     ("regress", "--n-train", "0"), ("regress", "--n-test", "-3"),
     ("depth-sweep", "--n-train", "0"), ("depth-sweep", "--n-test", "0"),
     ("depth-sweep", "--reps", "0"), ("depth-sweep", "--depths", ""),

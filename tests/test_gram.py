@@ -384,8 +384,8 @@ FIT_CASES = {
         KernelParams(0.5, 0.5),
         KernelParams(0.5, 0.3, sigma_b_sq=0.4),
         KernelParams(0.3, 0.2, sigma_b_sq=0.5),
-        # its value at dot = 1, solved among a fit's nodes, is 1.6e-7 off
-        # the one-element value
+        # at dot = 1 Newton would step below its root while other nodes of
+        # the batch iterate (1.6e-7 off in theta) but for the closed form
         KernelParams(0.9, 0.1, sigma_b_sq=0.2),
     ],
 }
@@ -503,14 +503,21 @@ class TestFiniteDepthFit:
 
     @pytest.mark.parametrize("tag, depth", fitted_tags((1, 50)))
     def test_exact_where_dot_is_one(self, tag, depth, monkeypatch):
+        # The fit takes the value at 1 from its node batch, with no call of
+        # its own; the fit's whole-array fallback and the exact solver on
+        # the whole dot matrix give the same value.
         dots = data_dots()
         for p in FIT_CASES[tag]:
             sizes = count_exact_entries(monkeypatch, exact_solver(tag))
             got = kernel_from_dots(dots, tag, p, depth)
             monkeypatch.undo()
-            assert max(sizes) < dots.size
+            assert max(sizes) < dots.size and 1 not in sizes, sizes
+            monkeypatch.setattr(gram, "FIT_TOL", 1e-30)
+            fallback = kernel_from_dots(dots, tag, p, depth)
+            monkeypatch.undo()
             one = theta_deq(1.0, p).theta if tag == DEQ_NTK else finite_depth_theta(1.0, depth, p)
-            assert np.all(np.diag(got) == one), p
+            for values in (got, fallback, exact_values(dots, tag, p, depth)):
+                assert np.all(np.diag(values) == one), p
 
     @pytest.mark.parametrize("tag, depth", fitted_tags((10, 50, 500)))
     def test_near_duplicates_alone_run_exact(self, tag, depth, monkeypatch, caplog):

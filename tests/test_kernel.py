@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from deqntk import (
+    ConvergenceError,
     DomainError,
     KernelParams,
     LINEAR,
@@ -18,6 +19,7 @@ from deqntk import (
     theta_deq_grid,
     theta_linear_deq,
 )
+from deqntk import kernel
 from deqntk.kernel import _BLOCK, _fixed_point
 
 P_HALF = KernelParams(sigma_w_sq=0.5, sigma_u_sq=0.5)
@@ -78,6 +80,24 @@ class TestFixedPoint:
         assert abs(res.rho_star - 1.0) <= 1e-12
         # interior 1/(1 - 0.5) plus readout value 1
         assert abs(res.theta - 3.0) <= 1e-10
+        # x.y = 1 takes the closed-form root s* = a, so its value is the same
+        # in any batch; with k0(1) = k1(1) = 1 it is the linear kernel's
+        rng = np.random.default_rng(14)
+        batch = np.append(np.cos(np.linspace(0.05, 3.0, 35)), 1.0)
+        for _ in range(200):
+            sw2, su2, sb2 = rng.uniform(0.01, 0.99), rng.uniform(0.0, 1.0), rng.uniform(0.01, 1.0)
+            rng.shuffle(batch)
+            for act in (NORMALIZED_RELU, LINEAR):
+                p = KernelParams(sw2, su2, sb2, activation=act)
+                one = theta_deq(1.0, p).theta
+                assert theta_deq_grid(batch, p)[batch == 1.0] == one, p
+                assert abs(one - theta_linear_deq(1.0, p)) <= 4 * np.spacing(one), p
+
+    def test_budget_names_first_unconverged_dot(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_MAX_NEWTON_ITER", 1)
+        # x.y = 1 starts at its root; the other two do not
+        with pytest.raises(ConvergenceError, match=r"first unconverged x\.y = -0\.5\)"):
+            theta_deq_grid(np.array([1.0, -0.5, 0.3]), P_HALF)
 
     def test_finite_depth_matches_limit(self):
         dots = np.linspace(-1.0, 1.0, 19)
@@ -325,7 +345,8 @@ class TestBlockBoundaries:
         # a scalar stops at its own first such step while a block runs on
         # until its slowest entry converges.  Theta inherits that gap through
         # 1 / (1 - sigma_dot) and the arccos cusp: 3.5e-12 relative at
-        # sigma_w_sq = 0.5 and 1.9e-8 at 0.999 for these pools.
+        # sigma_w_sq = 0.5 and 1.9e-8 at 0.999 for these pools.  x.y = 1
+        # takes the closed-form root in both, so it matches bit for bit.
         s_tol = 2e-12 / (1.0 - params.sigma_w_sq)
         for size in SIZES:
             # sorted indices give each block a different range of values
@@ -340,6 +361,8 @@ class TestBlockBoundaries:
                 assert np.max(np.abs(s.ravel() - ref_s[idx])) <= s_tol
                 rel = np.abs(theta.ravel() - ref[idx]) / np.abs(ref[idx])
                 assert np.max(rel) <= 1e-7
+                one = pool[idx] == 1.0
+                assert np.array_equal(theta.ravel()[one], ref[idx][one])
                 assert iterations == max(scalar[i].iterations for i in np.unique(idx))
 
     def test_newton_odd_shapes(self):
