@@ -132,6 +132,14 @@ def _int_list(least: int):
     return check
 
 
+def _reg_eps(ctx, param, value):
+    """Callback of --reg-eps: a finite number >= 0 (``click.FloatRange``
+    lets NaN through)."""
+    if not 0.0 <= value < np.inf:
+        raise click.BadParameter(f"{value} is not a finite number >= 0")
+    return value
+
+
 _COUNT = click.IntRange(min=1)
 
 
@@ -234,7 +242,7 @@ def kernel(params, dot, sweep_depths):
 @click.option("--depths", default="10,50,100,500", callback=_int_list(0),
               help="comma list of depths")
 @click.option("--reps", type=_COUNT, default=5)
-@click.option("--reg-eps", type=float, default=1e-4)
+@click.option("--reg-eps", type=float, default=1e-4, callback=_reg_eps)
 @click.option("--seed", type=int, default=0)
 def depth_sweep_cmd(params, data, n_train, n_test, depths, reps, reg_eps, seed):
     """Accuracy of injected vs vanilla finite-depth kernels across depths."""
@@ -335,7 +343,7 @@ def spectrum(sw2, n, seed):
 @click.option("--path", type=click.Path(), default=None)
 @click.option("--n-train", type=_COUNT, default=2000)
 @click.option("--n-test", type=_COUNT, default=1000)
-@click.option("--reg-eps", type=float, default=0.0)
+@click.option("--reg-eps", type=float, default=0.0, callback=_reg_eps)
 @click.option("--seed", type=int, default=0)
 def regress(params, dataset, path, n_train, n_test, reg_eps, seed):
     """Fixed-point kernel regression accuracy on a dataset subset."""

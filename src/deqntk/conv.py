@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularityError
-from .kernel import _BLOCK, _check_unit, _diag_fixed_point, _k0_k1
+from .kernel import _BLOCK, _check_unit, _diag_fixed_point, _duals
 from .params import KernelParams
 
 _PSD_TOL = 1e-8
@@ -100,10 +100,6 @@ def pixel_inner_tensor(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ijc,klc->ijkl", x, y)
 
 
-def validate_unit_pixels(x: np.ndarray) -> None:
-    _check_unit(x, "per-pixel channel vectors must be unit-normalized")
-
-
 def _check_domain(params: KernelParams, x: np.ndarray, y: np.ndarray) -> None:
     """The kernel needs a contraction with injection (else d* = 0 and the
     kernel vanishes), no bias or readout scale, and images of one shape with
@@ -120,9 +116,8 @@ def _check_domain(params: KernelParams, x: np.ndarray, y: np.ndarray) -> None:
             )
     if x.shape[-3:] != y.shape[-3:]:
         raise ValueError(f"image shapes differ: {x.shape[-3:]} and {y.shape[-3:]}")
-    validate_unit_pixels(x)
-    if y is not x:
-        validate_unit_pixels(y)
+    for images in (x,) if y is x else (x, y):
+        _check_unit(images, "per-pixel channel vectors must be unit-normalized")
 
 
 def cdeq_k_step(Sigma_prev: np.ndarray, K0: np.ndarray, params: KernelParams):
@@ -138,10 +133,8 @@ def cdeq_k_step(Sigma_prev: np.ndarray, K0: np.ndarray, params: KernelParams):
         raise SingularityError(
             "covariance tensor is not PSD within tolerance (upstream bug)"
         )
-    Kdot, k1 = _k0_k1(ratio, params.activation)
-    K = params.sigma_w_sq * d * k1 + params.sigma_u_sq * K0
-    Kdot *= params.sigma_w_sq
-    return K, Kdot
+    k0, k1 = _duals(ratio, params.activation)
+    return params.sigma_w_sq * d * k1 + params.sigma_u_sq * K0, params.sigma_w_sq * k0
 
 
 def _sigma_update(K: np.ndarray, norm: ConvNormalizer) -> np.ndarray:

@@ -21,7 +21,7 @@ from numpy.polynomial import chebyshev
 
 from .conv import _cdeq_pairs
 from .kernel import (
-    _BLOCK, _as_correlation, _check_unit, finite_depth_theta, theta_deq_grid,
+    _as_correlation, _blocks, _check_unit, finite_depth_theta, theta_deq_grid,
 )
 from .params import LINEAR, KernelParams
 
@@ -111,9 +111,9 @@ def _fitted_gram(dots, exact, label, exact_name):
     flat = dots.reshape(-1)
     out = np.empty(flat.shape)
     lo, hi = np.pi, 0.0
-    for a in range(0, flat.size, _BLOCK):
-        phi = out[a : a + _BLOCK]
-        np.arccos(_as_correlation(flat[a : a + _BLOCK]), out=phi)
+    for a, b in _blocks(flat.size):
+        phi = out[a:b]
+        np.arccos(_as_correlation(flat[a:b]), out=phi)
         lo = min(lo, phi.min(where=phi > 0.0, initial=np.pi))
         hi = max(hi, phi.max())
     if not hi > lo:
@@ -134,12 +134,12 @@ def _fitted_gram(dots, exact, label, exact_name):
         return exact(dots)
     near = np.flatnonzero((out > 0.0) & (out < cut)) if cut > lo else []
     mid, half = 0.5 * (hi + cut), 0.5 * (hi - cut)
-    for a in range(0, flat.size, _BLOCK):
-        phi = out[a : a + _BLOCK]
+    for a, b in _blocks(flat.size):
+        phi = out[a:b]
         phi -= mid
         phi /= half
         phi[:] = chebyshev.chebval(phi, coef)
-        np.copyto(phi, at_one, where=flat[a : a + _BLOCK] >= 1.0)
+        np.copyto(phi, at_one, where=flat[a:b] >= 1.0)
     if len(near):
         out[near] = exact(flat[near])
         log.info("%s: Chebyshev fit on angles [%.6g, %.6g]; %d entries below it ran %s",

@@ -30,11 +30,13 @@ _MAX_NEWTON_ITER = 200
 _ROOT_TOL = 1e-12
 _POLE_TOL = 1e-14
 
-#: Entries per block of the array cores.  A block's work arrays (at most six
-#: of 256 KiB) stay in a 2 MiB L2 cache across Newton steps and layers.  On
-#: a 2-core AVX-512 Xeon, 16-64 Ki entries timed within noise of each other;
-#: the same in-place code over the whole array took 2.2x as long for the
-#: Newton solve and 1.2x for the depth recursion, and 4 Ki took ~20% longer.
+#: Entries per block of the array cores, also the granularity of Newton's
+#: stop.  A block's temporaries (256 KiB each) stay in a 2 MiB L2 cache
+#: across Newton steps and layers.  On a 2-core AVX-512 Xeon, over 2M dots
+#: in two runs, 32 and 64 Ki entries timed within noise of each other; 16 Ki
+#: was up to 30% slower, 4 Ki 25-35% slower, and the whole array as one block
+#: 1.8-2.2x as slow for the Newton solve and 1.6-2.1x for a depth-10
+#: recursion.
 _BLOCK = 32_768
 
 
@@ -59,13 +61,18 @@ class FixedPointResult:
     residual: float
 
 
+def _clip(x, bound):
+    """``np.clip(x, -bound, bound)`` by two ufuncs: np.clip's Python wrapper
+    costs a third of a layer over the few hundred nodes of a Gram's fit."""
+    return np.minimum(np.maximum(x, -bound), bound)
+
+
 def _as_correlation(rho):
     """Validate and clamp correlations to [-1, 1]."""
     arr = np.asarray(rho, dtype=float)
     if not np.all(np.abs(arr) <= 1.0 + BOUNDARY_SLACK):
-        bad = np.max(np.abs(arr))
-        raise DomainError(f"correlation magnitude {bad} is not at most 1")
-    return np.clip(arr, -1.0, 1.0)
+        raise DomainError(f"correlation magnitude {np.abs(arr).max()} is not at most 1")
+    return _clip(arr, 1.0)
 
 
 def _check_unit(x, message):
@@ -80,19 +87,10 @@ def _maybe_scalar(value, template):
     return float(value) if np.isscalar(template) else value
 
 
-def _k0_k1(rho, activation):
-    """Derivative and plain dual activations at unit marginals, as new arrays
-    filled by ``_duals`` at a copy of ``rho``."""
-    r = np.array(rho, dtype=float)
-    # three arrays: a 0-d view into one (3,) array is a scalar, unfit for out=
-    angle, k1, tmp = (np.empty(r.shape) for _ in range(3))
-    _duals(r, activation, angle, k1, tmp)
-    return np.divide(angle, np.pi, out=angle), k1
-
-
 def _k1(rho, activation):
-    """Dual activation at unit marginals, dispatched on the activation tag."""
-    return _k0_k1(rho, activation)[1]
+    """Dual activation at unit marginals, dispatched on the activation tag,
+    as an array (ufuncs turn a 0-d one into a scalar)."""
+    return np.asarray(_duals(rho, activation)[1])
 
 
 def dual_activation(rho):
@@ -106,7 +104,7 @@ def dual_activation(rho):
 
 def dual_activation_dot(rho):
     """E[sigma'(u) sigma'(v)] for the normalized ReLU: (pi - arccos(rho)) / pi."""
-    return _maybe_scalar(_k0_k1(_as_correlation(rho), NORMALIZED_RELU)[0], rho)
+    return _maybe_scalar(np.asarray(_duals(_as_correlation(rho), NORMALIZED_RELU)[0]), rho)
 
 
 def _diag_fixed_point(params: KernelParams) -> float:
@@ -124,26 +122,14 @@ def _blocks(n):
     return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
 
 
-def _duals(rho, activation, angle, k1, tmp):
-    """Dual activations at ``rho`` in place, with one ``arccos``.
-
-    Clips ``rho`` to [-1, 1] in place, then fills ``angle`` with pi -
-    arccos(rho), so that k0(rho) = angle / pi, and ``k1`` with k1(rho);
-    ``tmp`` is scratch.
-    """
-    np.clip(rho, -1.0, 1.0, out=rho)
+def _duals(rho, activation):
+    """(k0, k1): the derivative and plain dual activations at unit marginals,
+    at ``rho`` clipped to [-1, 1], with one ``arccos``."""
+    rho = _clip(rho, 1.0)
     if activation == LINEAR:
-        angle.fill(np.pi)
-        np.copyto(k1, rho)
-        return
-    np.arccos(rho, out=angle)
-    np.subtract(np.pi, angle, out=angle)
-    np.multiply(rho, rho, out=tmp)
-    np.subtract(1.0, tmp, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    np.multiply(angle, rho, out=k1)
-    np.add(tmp, k1, out=k1)
-    np.divide(k1, np.pi, out=k1)
+        return np.ones_like(rho), rho
+    angle = np.pi - np.arccos(rho)
+    return angle / np.pi, (np.sqrt(1.0 - rho * rho) + angle * rho) / np.pi
 
 
 def _finite_depth(dot, d, params: KernelParams):
@@ -155,8 +141,7 @@ def _finite_depth(dot, d, params: KernelParams):
     and the kernel with the readout layer (sigma_v_sq times the dual
     activations).  The common self-covariance ``diag`` of both inputs is a
     scalar, so its values per layer are computed once.  Each block of
-    entries runs all layers in block-sized work arrays before the next
-    block starts.
+    entries runs all layers before the next block starts.
     """
     _as_correlation(dot)
     if d < 0:
@@ -178,35 +163,22 @@ def _finite_depth(dot, d, params: KernelParams):
     outputs = tuple(np.empty(dot.shape) for _ in range(4))
     flat = dot.reshape(-1)
     views = [o.reshape(-1) for o in outputs]
-    work = np.empty((5, min(_BLOCK, flat.size)))
     for lo, hi in _blocks(flat.size):
-        rho, sigma_dot, theta, out = (v[lo:hi] for v in views)
-        angle, k1, tmp, cov, inject = work[:, : hi - lo]
-        np.multiply(su2, flat[lo:hi], out=inject)
-        np.copyto(cov, flat[lo:hi])
-        np.copyto(theta, flat[lo:hi])
-        sigma_dot.fill(0.0)
+        x = flat[lo:hi]
+        inject, cov, theta, sigma_dot = su2 * x, x, x, 0.0
         for diag in diags[:-1]:
-            np.divide(cov, diag, out=rho)
-            _duals(rho, act, angle, k1, tmp)
-            np.divide(angle, np.pi, out=sigma_dot)
-            np.multiply(sw2, sigma_dot, out=sigma_dot)
-            np.multiply(sw2 * diag, k1, out=cov)
-            np.add(cov, inject, out=cov)
-            np.add(cov, sb2, out=cov)
-            np.multiply(sigma_dot, theta, out=theta)
-            np.add(theta, cov, out=theta)
+            k0, k1 = _duals(cov / diag, act)
+            sigma_dot = sw2 * k0
+            cov = sw2 * diag * k1 + inject + sb2
+            theta = sigma_dot * theta + cov
         diag = diags[-1]
-        np.divide(cov, diag, out=rho)
-        _duals(rho, act, angle, k1, tmp)
-        np.divide(angle, np.pi, out=tmp)
-        np.multiply(tmp, theta, out=tmp)
-        np.multiply(diag, k1, out=k1)
-        np.add(tmp, k1, out=tmp)
-        np.multiply(params.sigma_v_sq, tmp, out=out)
+        rho = _clip(cov / diag, 1.0)
+        k0, k1 = _duals(rho, act)  # rho is returned clipped; _duals' clip is a no-op
+        out = params.sigma_v_sq * (k0 * theta + diag * k1)
+        for view, value in zip(views, (rho, sigma_dot, theta, out)):
+            view[lo:hi] = value
     if vanished:
-        outputs[2].fill(0.0)
-        outputs[3].fill(0.0)
+        outputs[2][...] = outputs[3][...] = 0.0
     return outputs
 
 
@@ -239,12 +211,12 @@ def _fixed_point(dot, params: KernelParams):
     layer contributes sigma_v_sq times the dual activations at the fixed
     point, which the last Newton step has already evaluated.
 
-    Each block of entries runs Newton in block-sized work arrays until all
-    of its own entries have converged, then its readout.  Entries with dot
-    >= 1 take the closed-form root s* = a (k0 = k1 = 1), not the value the
-    block's further steps would leave them at.  Returns (s*, sigma_dot*,
-    theta, iterations, residual): three arrays shaped like ``dot``, the
-    most Newton steps any block took and the largest |F(s*)|.
+    Each block of entries runs Newton until all of its own entries have
+    converged, then its readout.  Entries with dot >= 1 take the
+    closed-form root s* = a (k0 = k1 = 1), not the value the block's further
+    steps would leave them at.  Returns (s*, sigma_dot*, theta, iterations,
+    residual): three arrays shaped like ``dot``, the most Newton steps any
+    block took and the largest |F(s*)|.
     """
     _as_correlation(dot)
     params.require_contraction()
@@ -262,51 +234,36 @@ def _fixed_point(dot, params: KernelParams):
     outputs = tuple(np.empty(dot.shape) for _ in range(3))
     flat = dot.reshape(-1)
     views = [o.reshape(-1) for o in outputs]
-    work = np.empty((6, min(_BLOCK, flat.size)))
     iterations, residual = 0, 0.0
     for lo, hi in _blocks(flat.size):
-        s, sigma_dot, theta = (v[lo:hi] for v in views)
-        rho, angle, k1, tmp, f, inject = work[:, : hi - lo]
-        np.multiply(su2, flat[lo:hi], out=inject)
-        np.add(inject, sb2, out=inject)
-        np.divide(inject, 1.0 - sw2, out=s)
-        np.clip(s, -a, a, out=s)
+        x = flat[lo:hi]
+        inject = su2 * x + sb2
+        s = _clip(inject / (1.0 - sw2), a)
         for step in range(1, _MAX_NEWTON_ITER + 1):
-            np.divide(s, a, out=rho)
-            _duals(rho, act, angle, k1, tmp)
-            np.multiply(sw2 * a, k1, out=f)
-            np.add(f, inject, out=f)
-            np.subtract(f, s, out=f)
-            block_residual = np.abs(f, out=tmp).max()
+            k0, k1 = _duals(s / a, act)
+            f = sw2 * a * k1 + inject - s
+            block_residual = np.abs(f).max()
             if block_residual <= _ROOT_TOL:
                 break
-            np.divide(angle, np.pi, out=tmp)
-            np.multiply(sw2, tmp, out=tmp)
-            np.subtract(tmp, 1.0, out=tmp)
-            np.divide(f, tmp, out=tmp)
-            np.subtract(s, tmp, out=s)
-            np.clip(s, -a, a, out=s)
+            s = _clip(s - f / (sw2 * k0 - 1.0), a)
         iterations = max(iterations, step)
         residual = max(residual, block_residual)
         if not block_residual <= _ROOT_TOL:
-            first = float(flat[lo + np.argmax(np.abs(f) > _ROOT_TOL)])
+            first = float(x[np.argmax(np.abs(f) > _ROOT_TOL)])
             raise ConvergenceError(
                 f"covariance fixed point not found in {_MAX_NEWTON_ITER} "
                 f"iterations (max residual {block_residual:.3e}; first "
                 f"unconverged x.y = {first!r})"
             )
-        one = flat[lo:hi] >= 1.0
-        s[one], angle[one], k1[one] = a, np.pi, 1.0
-        rho_dot = np.divide(angle, np.pi, out=angle)
-        np.multiply(sw2, rho_dot, out=sigma_dot)
-        np.subtract(1.0, sigma_dot, out=tmp)
-        if np.any(np.abs(tmp, out=f) < _POLE_TOL):
+        one = x >= 1.0
+        s[one], k0[one], k1[one] = a, 1.0, 1.0
+        sigma_dot = sw2 * k0
+        gap = 1.0 - sigma_dot
+        if np.any(np.abs(gap) < _POLE_TOL):
             raise SingularityError("derivative covariance reached 1: frozen kernel")
-        np.multiply(rho_dot, s, out=theta)
-        np.divide(theta, tmp, out=theta)
-        np.multiply(a, k1, out=k1)
-        np.add(theta, k1, out=theta)
-        np.multiply(params.sigma_v_sq, theta, out=theta)
+        theta = params.sigma_v_sq * (k0 * s / gap + a * k1)
+        for view, value in zip(views, (s, sigma_dot, theta)):
+            view[lo:hi] = value
     return (*outputs, iterations, residual)
 
 

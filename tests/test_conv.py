@@ -22,7 +22,6 @@ from deqntk.conv import (
     cdeq_sigma_fixed_point,
     patch_trace,
     pixel_inner_tensor,
-    validate_unit_pixels,
     _box_sum,
     _cdeq_pairs,
     _sigma_update,
@@ -281,8 +280,9 @@ class TestFixedPoint:
         y = unit_images(1, 4, 4, 3)[0]
         with pytest.raises(DomainError):
             cdeq_sigma_fixed_point(x, y, 3, P)
-        with pytest.raises(DomainError):
-            validate_unit_pixels(x)
+        for pair in ((x, y), (y, x)):
+            with pytest.raises(DomainError, match="unit-normalized"):
+                cdeq_kernel_pair(*pair, 3, P)
 
 
 class TestTheta:

@@ -415,6 +415,8 @@ UNUSABLE = [
     ("depth-sweep", "--n-train", "0"), ("depth-sweep", "--n-test", "0"),
     ("depth-sweep", "--reps", "0"), ("depth-sweep", "--depths", ""),
     ("depth-sweep", "--depths", "1,-1"), ("depth-sweep", "--depths", "1,x"),
+    ("regress", "--reg-eps", "-1"), ("regress", "--reg-eps", "nan"),
+    ("depth-sweep", "--reg-eps", "-1e-4"), ("depth-sweep", "--reg-eps", "inf"),
 ]
 
 

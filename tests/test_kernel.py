@@ -62,6 +62,16 @@ class TestDualActivations:
         with pytest.raises(DomainError):
             dual_activation_dot(-1.0001)
 
+    @pytest.mark.parametrize("dual", [dual_activation, dual_activation_dot])
+    def test_return_types(self, dual):
+        # a float in gives a float out; an array, a new array of its shape
+        assert type(dual(0.25)) is float
+        for rho in (np.array(0.25), np.full((2, 3), 0.25)):
+            out = dual(rho)
+            assert isinstance(out, np.ndarray) and out.shape == rho.shape
+            out[...] = 0.0
+            assert np.all(rho == 0.25)
+
 
 class TestFixedPoint:
     def test_rho_star_reference_value(self):
@@ -364,6 +374,20 @@ class TestBlockBoundaries:
                 one = pool[idx] == 1.0
                 assert np.array_equal(theta.ravel()[one], ref[idx][one])
                 assert iterations == max(scalar[i].iterations for i in np.unique(idx))
+
+    @pytest.mark.parametrize("params", EDGE_PARAMS)
+    def test_newton_stops_per_block(self, params):
+        # A block runs until its own slowest entry converges, whatever the
+        # other blocks hold: each block's s, sigma_dot and theta are those of
+        # a solve on that block alone, and the counts are the blocks' largest.
+        dot = edge_dots(2 * _BLOCK + 3)
+        *arrays, iterations, residual = _fixed_point(dot, params)
+        alone = [_fixed_point(dot[lo:hi], params) for lo, hi in kernel._blocks(dot.size)]
+        assert len(alone) == 3
+        for got, parts in zip(arrays, zip(*alone)):
+            assert np.array_equal(got, np.concatenate(parts))
+        assert iterations == max(part[3] for part in alone)
+        assert residual == max(part[4] for part in alone)
 
     def test_newton_odd_shapes(self):
         for dot in (np.array(0.25), np.empty((0, 4)), edge_dots(6).reshape(2, 3).T):
