@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularityError
-from .kernel import _BLOCK, _check_unit, _diag_fixed_point, _duals
+from .kernel import _BLOCK, _check_unit, _diag_fixed_point, _duals_at
 from .params import KernelParams
 
 _PSD_TOL = 1e-8
@@ -133,7 +133,7 @@ def cdeq_k_step(Sigma_prev: np.ndarray, K0: np.ndarray, params: KernelParams):
         raise SingularityError(
             "covariance tensor is not PSD within tolerance (upstream bug)"
         )
-    k0, k1 = _duals(ratio, params.activation)
+    k0, k1 = _duals_at(ratio, params.activation)
     return params.sigma_w_sq * d * k1 + params.sigma_u_sq * K0, params.sigma_w_sq * k0
 
 

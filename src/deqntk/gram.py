@@ -21,7 +21,8 @@ from numpy.polynomial import chebyshev
 
 from .conv import _cdeq_pairs
 from .kernel import (
-    _as_correlation, _blocks, _check_unit, finite_depth_theta, theta_deq_grid,
+    _as_correlation, _blocks, _check_unit, _clip, finite_depth_theta, theta_deq_grid,
+    theta_linear_deq,
 )
 from .params import LINEAR, KernelParams
 
@@ -40,15 +41,6 @@ _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 FIT_TOL = 2e-11
 #: Fit degrees tried in turn on one range of angles.
 _FIT_DEGREES = (16, 32, 64, 128)
-#: When no degree fits the entries' whole range of angles, the lower end
-#: moves up in turn to the smallest angle from each of these fractions of the
-#: largest one, and the entries below it run the exact solver.  Near the
-#: cusp at dot = 1 the kernel is too sharp in the angle for the last degree
-#: (vanilla kernel, depth 50-500), or the exact values too noisy.  With
-#: angles up to 1.4, fits pass from a lowest angle of about 1/1400 of the
-#: largest (injected kernel, and vanilla at depth 10), 1/140 (vanilla, depth
-#: 50-100) and 1/14 (vanilla, depth 500); each fraction lies just above one.
-_FIT_CUTS = (1 / 512, 1 / 64, 1 / 8)
 
 
 @dataclass(frozen=True)
@@ -81,8 +73,8 @@ def kernel_from_dots(
     """Kernel values for a matrix of pairwise inner products (dense tags)."""
     if kernel_tag == DEQ_NTK:
         if params.activation == LINEAR:
-            # affine in x.y, so Newton starts at the root; crosses 0, so no relative fit bound
-            return theta_deq_grid(dots, params)
+            # affine in x.y; crosses 0, so no relative fit bound
+            return theta_linear_deq(dots, params)
         return _fitted_gram(dots, lambda x: theta_deq_grid(x, params),
                             kernel_tag, "the exact Newton solve")
     if kernel_tag in (FINITE_DEPTH_NTK, VANILLA_NTK):
@@ -101,11 +93,10 @@ def _fitted_gram(dots, exact, label, exact_name):
 
     The kernel is smooth in phi, so it is interpolated on [phi_min, phi_max]
     of the entries with dot < 1.  Entries with dot = 1 take the exact value
-    at 1, solved with the fit's nodes.  When no degree fits that range, the
-    lower end moves up (see ``_FIT_CUTS``) and the entries below it run
-    ``exact``.  Ranges of one angle, and ranges no lower end fits, run it on
-    every entry.  ``label`` and ``exact_name`` name the kernel and its
-    solver in the log.
+    at 1, solved with the fit's nodes.  Ranges of one angle, and ranges no
+    degree fits, run ``exact`` on every entry; the latter is logged as a
+    warning.  ``label`` and ``exact_name`` name the kernel and its solver in
+    the log.
     """
     dots = np.asarray(dots, dtype=float)
     flat = dots.reshape(-1)
@@ -113,37 +104,24 @@ def _fitted_gram(dots, exact, label, exact_name):
     lo, hi = np.pi, 0.0
     for a, b in _blocks(flat.size):
         phi = out[a:b]
-        np.arccos(_as_correlation(flat[a:b]), out=phi)
+        np.arccos(_clip(_as_correlation(flat[a:b]), -1.0, 1.0), out=phi)
         lo = min(lo, phi.min(where=phi > 0.0, initial=np.pi))
         hi = max(hi, phi.max())
     if not hi > lo:
         return exact(dots)
-    cut = lo
-    coef, at_one, err = _angle_fit(exact, cut, hi)
-    if err > FIT_TOL:
-        # the smallest angle from each fraction of phi_max on
-        cuts = {out.min(where=out >= f * hi, initial=hi) for f in _FIT_CUTS}
-        for cut in sorted(c for c in cuts if lo < c < hi):
-            coef, at_one, err = _angle_fit(exact, cut, hi)
-            if err <= FIT_TOL:
-                break
+    coef, at_one, err = _angle_fit(exact, lo, hi)
     if err > FIT_TOL:
         log.warning("%s: Chebyshev fit on angles [%.6g, %.6g] reached %.2e "
-                    "relative at degree %d from lower end %.6g, above %.0e; running %s",
-                    label, lo, hi, err, coef.size - 1, cut, FIT_TOL, exact_name)
+                    "relative at degree %d, above %.0e; running %s on every entry",
+                    label, lo, hi, err, coef.size - 1, FIT_TOL, exact_name)
         return exact(dots)
-    near = np.flatnonzero((out > 0.0) & (out < cut)) if cut > lo else []
-    mid, half = 0.5 * (hi + cut), 0.5 * (hi - cut)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     for a, b in _blocks(flat.size):
         phi = out[a:b]
         phi -= mid
         phi /= half
         phi[:] = chebyshev.chebval(phi, coef)
         np.copyto(phi, at_one, where=flat[a:b] >= 1.0)
-    if len(near):
-        out[near] = exact(flat[near])
-        log.info("%s: Chebyshev fit on angles [%.6g, %.6g]; %d entries below it ran %s",
-                 label, cut, hi, len(near), exact_name)
     return out.reshape(dots.shape)
 
 
@@ -155,13 +133,16 @@ def _angle_fit(exact, lo, hi):
 
     A degree-n fit interpolates at the n + 1 Chebyshev points of the first
     kind and is checked at the n + 2 points interleaved with them, the
-    interval's ends included; one exact call gives both.
+    interval's ends included; one exact call gives both.  Each point is
+    placed at the angle arccos(cos(phi)) of the dot the solver sees, which
+    near phi = 0 differs from the ideal point by much of the angle itself.
     """
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     for n in _FIT_DEGREES:
-        u = np.cos(np.pi * np.arange(2 * n + 3) / (2 * n + 2))
-        values = exact(np.append(np.cos(mid + half * u), 1.0))
+        dots = np.cos(mid + half * np.cos(np.pi * np.arange(2 * n + 3) / (2 * n + 2)))
+        values = exact(np.append(dots, 1.0))
         at_one, values = values[-1], values[:-1]
+        u = (np.arccos(dots) - mid) / half
         coef = chebyshev.chebfit(u[1::2], values[1::2], n)
         miss = np.max(np.abs(chebyshev.chebval(u[::2], coef) - values[::2]))
         err = miss / max(np.max(np.abs(values)), np.finfo(float).tiny)

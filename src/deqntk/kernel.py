@@ -6,7 +6,9 @@ map, the finite-depth tangent-kernel recursion and its depth limit obtained
 by root-finding.  For unit-norm inputs the self-covariance of every input
 follows one scalar affine map, d <- sigma_w_sq * d + sigma_u_sq +
 sigma_b_sq, so only the cross covariance is an array and the depth limit of
-the diagonal is closed-form.
+the diagonal is closed-form.  Both cores carry the cross covariance as its
+gap u = d - cov to the diagonal, which keeps the digits that carry the
+kernel where the correlation cov / d is near 1.
 
 Each quantity has one array implementation; a scalar call runs it on one
 element.  All functions are pure and accept either scalars or numpy arrays
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SingularityError
+from .errors import ConvergenceError, DomainError
 from .params import LINEAR, NORMALIZED_RELU, KernelParams
 
 #: Inputs this close to +-1 are treated as rounding noise and clamped.
@@ -27,16 +29,18 @@ BOUNDARY_SLACK = 1e-12
 _UNIT_NORM_TOL = 1e-9
 
 _MAX_NEWTON_ITER = 200
-_ROOT_TOL = 1e-12
-_POLE_TOL = 1e-14
+#: Newton freezes an entry once its step is at most this fraction of u.
+_STEP_TOL = 1e-15
+#: Below this angle g = sin(phi) - phi cos(phi) is its Taylor series; the
+#: direct form loses ~eps / phi^2 of g to cancellation.
+_SERIES_ANGLE = 0.05
 
-#: Entries per block of the array cores, also the granularity of Newton's
-#: stop.  A block's temporaries (256 KiB each) stay in a 2 MiB L2 cache
-#: across Newton steps and layers.  On a 2-core AVX-512 Xeon, over 2M dots
-#: in two runs, 32 and 64 Ki entries timed within noise of each other; 16 Ki
-#: was up to 30% slower, 4 Ki 25-35% slower, and the whole array as one block
-#: 1.8-2.2x as slow for the Newton solve and 1.6-2.1x for a depth-10
-#: recursion.
+#: Entries per block of the array cores.  A block's temporaries (256 KiB
+#: each) stay in a 2 MiB L2 cache across Newton steps and layers.  On a
+#: 2-core AVX-512 Xeon, over 2M dots in two runs, 32 and 64 Ki entries timed
+#: within noise of each other; 16 Ki was up to 30% slower, 4 Ki 25-35%
+#: slower, and the whole array as one block 1.8-2.2x as slow for the Newton
+#: solve and 1.6-2.1x for a depth-10 recursion.
 _BLOCK = 32_768
 
 
@@ -61,18 +65,20 @@ class FixedPointResult:
     residual: float
 
 
-def _clip(x, bound):
-    """``np.clip(x, -bound, bound)`` by two ufuncs: np.clip's Python wrapper
-    costs a third of a layer over the few hundred nodes of a Gram's fit."""
-    return np.minimum(np.maximum(x, -bound), bound)
+def _clip(x, lo, hi):
+    """``np.clip(x, lo, hi)`` by two ufuncs: np.clip's Python wrapper costs a
+    third of a layer over the few hundred nodes of a Gram's fit."""
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def _as_correlation(rho):
-    """Validate and clamp correlations to [-1, 1]."""
+    """``rho`` as a float array, checked to lie in [-1, 1] within
+    ``BOUNDARY_SLACK`` by its extremes, without a full-size temporary."""
     arr = np.asarray(rho, dtype=float)
-    if not np.all(np.abs(arr) <= 1.0 + BOUNDARY_SLACK):
+    if arr.size and not (arr.min() >= -1.0 - BOUNDARY_SLACK
+                         and arr.max() <= 1.0 + BOUNDARY_SLACK):
         raise DomainError(f"correlation magnitude {np.abs(arr).max()} is not at most 1")
-    return _clip(arr, 1.0)
+    return arr
 
 
 def _check_unit(x, message):
@@ -87,10 +93,39 @@ def _maybe_scalar(value, template):
     return float(value) if np.isscalar(template) else value
 
 
+def _duals(t, activation):
+    """(phi / pi, g / pi) at gaps t = 1 - rho >= 0 (above 2 by rounding
+    counts as 2), where phi = arccos(rho) = 2 asin(sqrt(t / 2)) and g =
+    sin(phi) - phi cos(phi): k0 = 1 - phi / pi and 1 - k1 = t - g / pi, with
+    no cancellation near rho = 1.  Both are 0 for the linear activation.
+    Below ``_SERIES_ANGLE`` g is its Taylor series, run only when needed.
+    """
+    t = np.minimum(t, 2.0)
+    if activation == LINEAR:
+        return np.zeros_like(t), np.zeros_like(t)
+    p = np.arcsin(np.sqrt(0.5 * t)) * (2.0 / np.pi)
+    small = p < _SERIES_ANGLE / np.pi
+    n = np.count_nonzero(small)
+    if n < small.size:
+        q = np.sqrt(t * (2.0 - t)) * (1.0 / np.pi) - p * (1.0 - t)
+    if n:
+        x = (np.pi * p) ** 2  # phi^2
+        series = p * x * (1 / 3 - x * (1 / 30 - x * (1 / 840 - x / 45360)))
+        q = series if n == small.size else np.where(small, series, q)
+    return p, q
+
+
+def _duals_at(rho, activation):
+    """(k0, k1) at correlations ``rho`` clipped to [-1, 1]."""
+    rho = _clip(rho, -1.0, 1.0)
+    p, q = _duals(1.0 - rho, activation)
+    return 1.0 - p, rho + q
+
+
 def _k1(rho, activation):
     """Dual activation at unit marginals, dispatched on the activation tag,
     as an array (ufuncs turn a 0-d one into a scalar)."""
-    return np.asarray(_duals(rho, activation)[1])
+    return np.asarray(_duals_at(rho, activation)[1])
 
 
 def dual_activation(rho):
@@ -104,7 +139,7 @@ def dual_activation(rho):
 
 def dual_activation_dot(rho):
     """E[sigma'(u) sigma'(v)] for the normalized ReLU: (pi - arccos(rho)) / pi."""
-    return _maybe_scalar(np.asarray(_duals(_as_correlation(rho), NORMALIZED_RELU)[0]), rho)
+    return _maybe_scalar(np.asarray(_duals_at(_as_correlation(rho), NORMALIZED_RELU)[0]), rho)
 
 
 def _diag_fixed_point(params: KernelParams) -> float:
@@ -122,162 +157,145 @@ def _blocks(n):
     return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
 
 
-def _duals(rho, activation):
-    """(k0, k1): the derivative and plain dual activations at unit marginals,
-    at ``rho`` clipped to [-1, 1], with one ``arccos``."""
-    rho = _clip(rho, 1.0)
-    if activation == LINEAR:
-        return np.ones_like(rho), rho
-    angle = np.pi - np.arccos(rho)
-    return angle / np.pi, (np.sqrt(1.0 - rho * rho) + angle * rho) / np.pi
+def _map_blocks(solve, dot):
+    """``solve`` over each block of ``dot``'s entries, collected into one new
+    array shaped like ``dot``."""
+    out = np.empty(dot.shape)
+    flat, view = dot.reshape(-1), out.reshape(-1)
+    for lo, hi in _blocks(flat.size):
+        view[lo:hi] = solve(flat[lo:hi])
+    return out
 
 
-def _finite_depth(dot, d, params: KernelParams):
-    """Run d interior layers of the covariance/kernel recursion and the
-    readout layer, vectorized over ``dot``.
-
-    Returns (rho, sigma_dot, theta, out): the correlation entering the
-    readout, the last interior derivative covariance, the interior kernel
-    and the kernel with the readout layer (sigma_v_sq times the dual
-    activations).  The common self-covariance ``diag`` of both inputs is a
-    scalar, so its values per layer are computed once.  Each block of
-    entries runs all layers before the next block starts.
-    """
-    _as_correlation(dot)
+def _layer_diags(d, params: KernelParams):
+    """Self-covariances of layers 0..d, cut before the first that is 0:
+    without injection or bias sw2^l underflows to 0 (from layer 1 at sw2 =
+    0), and with it every covariance and the kernel."""
     if d < 0:
         raise ValueError("depth must be nonnegative")
-    sw2, su2, sb2 = params.sigma_w_sq, params.sigma_u_sq, params.sigma_b_sq
-    act = params.activation
-    dot = np.asarray(dot, dtype=float)
-
     diags = [1.0]
     for _ in range(d):
-        diags.append(sw2 * diags[-1] + su2 + sb2)
-    # Without injection or bias the diagonal sw2^l underflows to 0 (from
-    # layer 1 at sw2 = 0), and with it every covariance and the kernel.  The
-    # layers then run up to the last nonzero diagonal, whose rho and
-    # sigma_dot are returned, and the kernel is exactly 0.
-    vanished = 0.0 in diags
-    if vanished:
-        diags = diags[: diags.index(0.0)]
-    outputs = tuple(np.empty(dot.shape) for _ in range(4))
-    flat = dot.reshape(-1)
-    views = [o.reshape(-1) for o in outputs]
-    for lo, hi in _blocks(flat.size):
-        x = flat[lo:hi]
-        inject, cov, theta, sigma_dot = su2 * x, x, x, 0.0
-        for diag in diags[:-1]:
-            k0, k1 = _duals(cov / diag, act)
-            sigma_dot = sw2 * k0
-            cov = sw2 * diag * k1 + inject + sb2
-            theta = sigma_dot * theta + cov
-        diag = diags[-1]
-        rho = _clip(cov / diag, 1.0)
-        k0, k1 = _duals(rho, act)  # rho is returned clipped; _duals' clip is a no-op
-        out = params.sigma_v_sq * (k0 * theta + diag * k1)
-        for view, value in zip(views, (rho, sigma_dot, theta, out)):
-            view[lo:hi] = value
-    if vanished:
-        outputs[2][...] = outputs[3][...] = 0.0
-    return outputs
+        diags.append(params.sigma_w_sq * diags[-1] + params.sigma_u_sq + params.sigma_b_sq)
+    return diags[: diags.index(0.0)] if 0.0 in diags else diags
+
+
+def _finite_depth(x, diags, params: KernelParams):
+    """The layers of ``diags`` and the readout over inner products ``x``.
+
+    Layer l maps the gap u = diags[l] - cov to sw2 diags[l] (1 - k1) + su2
+    (1 - x.y) and the kernel to sw2 k0 theta + diags[l + 1] - u.  Returns
+    (rho, sigma_dot, theta, out): the readout's correlation, the last
+    interior sigma_dot, the interior kernel and the kernel with the readout.
+    """
+    sw2, act = params.sigma_w_sq, params.activation
+    x = _clip(x, -1.0, 1.0)
+    inject = params.sigma_u_sq * (1.0 - x)
+    u, theta, sigma_dot = 1.0 - x, x, 0.0
+    for diag, nxt in zip(diags, diags[1:]):
+        t = u / diag
+        p, q = _duals(t, act)
+        sigma_dot = sw2 * (1.0 - p)
+        u = (sw2 * diag) * (t - q) + inject
+        theta = sigma_dot * theta + (nxt - u)
+    t = u / diags[-1]
+    p, q = _duals(t, act)
+    out = params.sigma_v_sq * ((1.0 - p) * theta + diags[-1] * (1.0 - t + q))
+    return 1.0 - t, sigma_dot, theta, out
 
 
 def finite_depth_theta(dot, d, params: KernelParams, include_output_layer=True):
     """Vectorized finite-depth tangent-kernel values for inner products ``dot``."""
-    _, _, theta, out = _finite_depth(dot, d, params)
-    return _maybe_scalar(out if include_output_layer else theta, dot)
+    dot = _as_correlation(dot)
+    diags = _layer_diags(d, params)
+    if len(diags) <= d:
+        return _maybe_scalar(np.zeros(dot.shape), dot)
+    pick = 3 if include_output_layer else 2
+    return _maybe_scalar(_map_blocks(lambda x: _finite_depth(x, diags, params)[pick], dot), dot)
 
 
 def finite_depth_ntk(dot, d: int, params: KernelParams) -> PairKernelState:
-    """Finite-depth kernel state for one pair of unit-norm inputs.
-
-    Runs ``d`` interior layers and applies the readout-layer dual
-    activations scaled by sigma_v_sq.
-    """
-    rho, sigma_dot, _, out = _finite_depth(dot, d, params)
+    """Finite-depth kernel state for one pair of unit-norm inputs: ``d``
+    interior layers, then the readout (sigma_v_sq times the dual activations)."""
+    diags = _layer_diags(d, params)
+    rho, sigma_dot, _, out = _finite_depth(_as_correlation(dot).reshape(1), diags, params)
     return PairKernelState(
-        rho=float(rho), sigma_dot=float(sigma_dot), theta=float(out), depth=d
+        rho=float(rho[0]), sigma_dot=float(np.ravel(sigma_dot)[0]),
+        theta=float(out[0]) if len(diags) > d else 0.0, depth=d,
     )
 
 
-def _fixed_point(dot, params: KernelParams):
-    """Depth-limit kernel quantities, vectorized over ``dot``.
+def _fixed_point(x, params: KernelParams):
+    """Depth-limit kernel quantities over a 1-D block of inner products.
 
-    The covariance fixed point s* is the root of F(s) = sigma_w_sq * a *
-    k1(s/a) + sigma_u_sq * dot + sigma_b_sq - s, where a is the diagonal
-    fixed point, found by safeguarded Newton: F' <= sigma_w_sq - 1 < 0, so
-    the root is unique and Newton steps are damped only by the [-a, a]
-    clamp.  The interior kernel limit is s* / (1 - sigma_dot*); the readout
-    layer contributes sigma_v_sq times the dual activations at the fixed
-    point, which the last Newton step has already evaluated.
-
-    Each block of entries runs Newton until all of its own entries have
-    converged, then its readout.  Entries with dot >= 1 take the
-    closed-form root s* = a (k0 = k1 = 1), not the value the block's further
-    steps would leave them at.  Returns (s*, sigma_dot*, theta, iterations,
-    residual): three arrays shaped like ``dot``, the most Newton steps any
-    block took and the largest |F(s*)|.
+    Newton solves F(u) = (1 - sw2) u - su2 (1 - x.y) + sw2 a g / pi = 0 for
+    the gap u = a - s* of the covariance to the diagonal limit a (``_duals``
+    at t = u / a).  F is convex and increasing, with F'(u) = (1 - sw2) + sw2
+    phi / pi = 1 - sigma_dot >= 1 - sw2, so from the linear root u0 = su2 (1
+    - x.y) / (1 - sw2) >= u* it falls to the root; x.y = 1 starts there.
+    s moves with u from the linear root's covariance, so it keeps its own
+    digits near 0.  An entry freezes once |du| <= _STEP_TOL u or |du| stops
+    falling, whatever the other entries do.  The kernel is s* / (1 -
+    sigma_dot*) plus the readout, a k1 = s* + a g / pi.  Returns (s*, phi /
+    pi, theta, most steps of an entry, largest |F| at a frozen entry).
     """
-    _as_correlation(dot)
-    params.require_contraction()
-    sw2, su2, sb2 = params.sigma_w_sq, params.sigma_u_sq, params.sigma_b_sq
-    act = params.activation
-    dot = np.asarray(dot, dtype=float)
+    sw2, act = params.sigma_w_sq, params.activation
     a = _diag_fixed_point(params)
-
+    ss, ps, thetas = np.zeros(x.size), np.zeros(x.size), np.zeros(x.size)
     if a == 0.0:
         # Without injection or bias every covariance decays to 0 and every
         # correlation tends to 1, the only fixed point of k1: the kernel is 0.
-        zero = np.zeros(dot.shape)
-        return zero, np.full(dot.shape, sw2), zero.copy(), 0, 0.0
-
-    outputs = tuple(np.empty(dot.shape) for _ in range(3))
-    flat = dot.reshape(-1)
-    views = [o.reshape(-1) for o in outputs]
+        return ss, ps, thetas, 0, 0.0
+    x = _clip(x, -1.0, 1.0)
+    inject = params.sigma_u_sq * (1.0 - x)
+    u = inject / (1.0 - sw2)
+    s = (params.sigma_u_sq * x + params.sigma_b_sq) / (1.0 - sw2)
+    live, last = np.arange(x.size), np.inf
     iterations, residual = 0, 0.0
-    for lo, hi in _blocks(flat.size):
-        x = flat[lo:hi]
-        inject = su2 * x + sb2
-        s = _clip(inject / (1.0 - sw2), a)
-        for step in range(1, _MAX_NEWTON_ITER + 1):
-            k0, k1 = _duals(s / a, act)
-            f = sw2 * a * k1 + inject - s
-            block_residual = np.abs(f).max()
-            if block_residual <= _ROOT_TOL:
-                break
-            s = _clip(s - f / (sw2 * k0 - 1.0), a)
-        iterations = max(iterations, step)
-        residual = max(residual, block_residual)
-        if not block_residual <= _ROOT_TOL:
-            first = float(x[np.argmax(np.abs(f) > _ROOT_TOL)])
-            raise ConvergenceError(
-                f"covariance fixed point not found in {_MAX_NEWTON_ITER} "
-                f"iterations (max residual {block_residual:.3e}; first "
-                f"unconverged x.y = {first!r})"
-            )
-        one = x >= 1.0
-        s[one], k0[one], k1[one] = a, 1.0, 1.0
-        sigma_dot = sw2 * k0
-        gap = 1.0 - sigma_dot
-        if np.any(np.abs(gap) < _POLE_TOL):
-            raise SingularityError("derivative covariance reached 1: frozen kernel")
-        theta = params.sigma_v_sq * (k0 * s / gap + a * k1)
-        for view, value in zip(views, (s, sigma_dot, theta)):
-            view[lo:hi] = value
-    return (*outputs, iterations, residual)
+    for step in range(1, _MAX_NEWTON_ITER + 1):
+        if not live.size:
+            break
+        p, q = _duals(u / a, act)
+        f = (1.0 - sw2) * u - inject + (sw2 * a) * q
+        slope = (1.0 - sw2) + sw2 * p
+        du = f / slope
+        size = np.abs(du)
+        done = (size <= _STEP_TOL * u) | (size >= last)
+        if done.any():
+            k, sd, pd = live[done], s[done], p[done]
+            ss[k], ps[k] = sd, pd
+            thetas[k] = (1.0 - pd) * sd / slope[done] + sd + a * q[done]
+            residual = max(residual, np.abs(f[done]).max())
+            iterations = step
+            live, u, s, inject, f, du, size = (
+                v[~done] for v in (live, u, s, inject, f, du, size))
+        u = u - du
+        s = s + du
+        last = size
+    if live.size:
+        raise ConvergenceError(
+            f"covariance fixed point not found in {_MAX_NEWTON_ITER} "
+            f"iterations (max residual {np.abs(f).max():.3e}; first "
+            f"unconverged x.y = {float(x[live[0]])!r})"
+        )
+    return ss, ps, params.sigma_v_sq * thetas, iterations, residual
 
 
 def theta_deq_grid(dot, params: KernelParams):
     """Vectorized depth-limit kernel over an array of inner products."""
-    return _maybe_scalar(_fixed_point(dot, params)[2], dot)
+    dot = _as_correlation(dot)
+    params.require_contraction()
+    return _maybe_scalar(_map_blocks(lambda x: _fixed_point(x, params)[2], dot), dot)
 
 
 def theta_deq(dot: float, params: KernelParams) -> FixedPointResult:
     """Depth-limit kernel for one pair, with the fixed-point diagnostics."""
-    s, sigma_dot, theta, iterations, residual = _fixed_point(float(dot), params)
-    return FixedPointResult(rho_star=float(s), sigma_dot_star=float(sigma_dot),
-                            theta=float(theta), iterations=iterations,
-                            residual=float(residual))
+    x = _as_correlation(dot).reshape(1)
+    params.require_contraction()
+    s, p, theta, iterations, residual = _fixed_point(x, params)
+    return FixedPointResult(
+        rho_star=float(s[0]), sigma_dot_star=float(params.sigma_w_sq * (1.0 - p[0])),
+        theta=float(theta[0]), iterations=iterations, residual=float(residual),
+    )
 
 
 def theta_linear_deq(dot, params: KernelParams):

@@ -36,6 +36,7 @@ from deqntk.gram import (
     theta_vs_dot_sweep,
     write_rows_csv,
 )
+from mp_oracles import mp_deq, mp_finite_depth
 
 P = KernelParams(sigma_w_sq=0.5, sigma_u_sq=0.5)
 
@@ -157,7 +158,7 @@ class TestAssembly:
         X = unit_rows(40, 6, seed=5)
         G = assemble_gram(X, DEQ_NTK, p_lin).values
         closed = theta_linear_deq(gram._dot_matrix(X), p_lin)
-        assert np.all(np.abs(G - closed) <= 1e-15 * np.abs(closed))
+        assert np.array_equal(G, closed)
 
     def test_cdeq_entries_equal_pair_values(self):
         imgs = unit_images(4, 5, 4, 2, seed=4)
@@ -377,15 +378,11 @@ FIT_CASES = {
         KernelParams(0.0, 0.0),  # the diagonal vanishes: a zero kernel
     ],
     DEQ_NTK: [
-        # first, as the single case of the near-duplicate test: its Newton
-        # values are too noisy for the fit within ~1e-8 of the cusp
         KernelParams(0.9, 0.1),
         KernelParams(0.1, 0.9),
         KernelParams(0.5, 0.5),
         KernelParams(0.5, 0.3, sigma_b_sq=0.4),
         KernelParams(0.3, 0.2, sigma_b_sq=0.5),
-        # at dot = 1 Newton would step below its root while other nodes of
-        # the batch iterate (1.6e-7 off in theta) but for the closed form
         KernelParams(0.9, 0.1, sigma_b_sq=0.2),
     ],
 }
@@ -409,56 +406,6 @@ def exact_values(dots, tag, p, depth):
     if tag == DEQ_NTK:
         return theta_deq_grid(dots, p)
     return finite_depth_theta(dots, depth, p)
-
-
-def mp_finite_depth(dot, depth, p):
-    """Finite-depth kernel of one pair by the layer recursion in mpmath at
-    40 digits."""
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp.clone()
-    mp.dps = 40
-    sw2, su2, sb2 = (mp.mpf(v) for v in (p.sigma_w_sq, p.sigma_u_sq, p.sigma_b_sq))
-    dot = mp.mpf(float(dot))
-    diag, cov, theta = mp.mpf(1), dot, dot
-    for layer in range(depth + 1):
-        rho = cov / diag
-        if p.activation == LINEAR:
-            k0, k1 = mp.mpf(1), rho
-        else:
-            k0 = (mp.pi - mp.acos(rho)) / mp.pi
-            k1 = (mp.sqrt(1 - rho * rho) + mp.pi * k0 * rho) / mp.pi
-        if layer == depth:
-            return float(mp.mpf(p.sigma_v_sq) * (k0 * theta + diag * k1))
-        cov = sw2 * diag * k1 + su2 * dot + sb2
-        theta = sw2 * k0 * theta + cov
-        diag = sw2 * diag + su2 + sb2
-
-
-def mp_deq(dot, p, dps=60):
-    """Depth-limit kernel of one pair at ``dps`` digits: the covariance
-    fixed point by bisection (the map minus s is decreasing in s), then the
-    readout at that point."""
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp.clone()
-    mp.dps = dps
-    sw2, su2, sb2 = (mp.mpf(v) for v in (p.sigma_w_sq, p.sigma_u_sq, p.sigma_b_sq))
-    a = (su2 + sb2) / (1 - sw2)
-
-    def duals(s):
-        rho = max(-1, min(1, s / a))
-        k0 = (mp.pi - mp.acos(rho)) / mp.pi
-        return k0, (mp.sqrt(1 - rho * rho) + mp.pi * k0 * rho) / mp.pi
-
-    inject = su2 * mp.mpf(float(dot)) + sb2
-    lo, hi = -a, a
-    for _ in range(4 * dps):
-        s = (lo + hi) / 2
-        if sw2 * a * duals(s)[1] + inject - s > 0:
-            lo = s
-        else:
-            hi = s
-    k0, k1 = duals(s)
-    return float(mp.mpf(p.sigma_v_sq) * (k0 * s / (1 - sw2 * k0) + a * k1))
 
 
 def count_exact_entries(monkeypatch, name="finite_depth_theta"):
@@ -487,16 +434,7 @@ class TestFiniteDepthFit:
                 monkeypatch.undo()
                 want = exact_values(dots, tag, p, depth)
                 assert got.shape == dots.shape
-                bound = FIT_TOL * np.max(np.abs(want))
-                worst = np.unravel_index(np.argmax(np.abs(got - want)), dots.shape)
-                if abs(got[worst] - want[worst]) > bound:
-                    # The exact solver has rounding errors of its own
-                    # (1.6e-11 relative at sb2 > 0, depth 50, where the
-                    # correlations approach 1); the fit must then be within
-                    # the tolerance of the high-precision value.
-                    truth = (mp_deq(dots[worst], p) if tag == DEQ_NTK
-                             else mp_finite_depth(dots[worst], depth, p))
-                    assert abs(got[worst] - truth) <= bound, (p, depth, worst)
+                assert np.max(np.abs(got - want)) <= FIT_TOL * np.max(np.abs(want)), p
                 if fitted:
                     # the solver saw the fit's points, not the entries
                     assert max(sizes) < dots.size / 10, (p, depth, sizes)
@@ -521,48 +459,40 @@ class TestFiniteDepthFit:
 
     @pytest.mark.parametrize("tag, depth", fitted_tags((10, 50, 500)))
     def test_near_duplicates_alone_run_exact(self, tag, depth, monkeypatch, caplog):
-        # A duplicated sample comes out of BLAS one ulp below 1.  The fit over
-        # the whole range fails there; only the entries below the lower end
-        # that passes may run the exact solver, the rest stays fitted.
-        p = FIT_CASES[tag][0]
+        # A duplicated sample comes out of BLAS one ulp below 1.  The name is
+        # historical: the fit now spans the whole range, such entries
+        # included, so the exact solver sees only the fit's nodes, nothing
+        # is logged, and the near entries are within the fit's tolerance of
+        # the high-precision kernel.
         dots = data_dots(n=100)
-        near = [(0, 1), (1, 0), (2, 3), (3, 2)]
-        dots[0, 1] = dots[1, 0] = 1.0 - 2.0**-52
-        dots[2, 3] = dots[3, 2] = np.cos(1e-5)
-        sizes = count_exact_entries(monkeypatch, exact_solver(tag))
-        with caplog.at_level(logging.INFO, logger="deqntk"):
-            got = kernel_from_dots(dots, tag, p, depth)
-        monkeypatch.undo()
-        want = exact_values(dots, tag, p, depth)
-        assert sizes[-1] == len(near) and max(sizes) < dots.size / 10, sizes
-        # Newton stops per block, so the near entries equal the solver on
-        # them alone; the layer recursion is elementwise.
-        idx = tuple(zip(*near))
-        assert np.array_equal(got[idx], exact_values(dots[idx], tag, p, depth))
-        mask = np.ones(dots.shape, dtype=bool)
-        mask[tuple(zip(*near))] = False
-        assert np.max(np.abs(got - want)[mask]) <= FIT_TOL * np.max(want)
-        [record] = caplog.records
-        assert record.levelno == logging.INFO
-        message = record.getMessage()
-        if tag == DEQ_NTK:
-            assert message.startswith("deq-ntk: Chebyshev fit") and "depth" not in message
-            assert "4 entries below it ran the exact Newton solve" in message
-        else:
-            assert message.startswith(f"{tag} depth {depth}: Chebyshev fit")
-            assert "4 entries below it ran the exact recursion" in message
+        near = ((0, 2), (1, 3))
+        dots[near] = dots[near[::-1]] = 1.0 - 2.0**-52, np.cos(1e-5)
+        for p in FIT_CASES[tag]:
+            if p.activation == LINEAR:
+                continue
+            sizes = count_exact_entries(monkeypatch, exact_solver(tag))
+            with caplog.at_level(logging.INFO, logger="deqntk"):
+                got = kernel_from_dots(dots, tag, p, depth)
+            monkeypatch.undo()
+            assert max(sizes) < dots.size / 10 and not caplog.records, (p, sizes)
+            want = exact_values(dots, tag, p, depth)
+            bound = FIT_TOL * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= bound, p
+            for x, value in zip(dots[near], got[near]):
+                if bound > 0.0:  # else the zero kernel, which has no oracle
+                    truth = mp_deq(x, p) if tag == DEQ_NTK else mp_finite_depth(x, depth, p)
+                    assert abs(value - truth) <= bound, (p, x)
 
     def test_deq_near_contraction_limit_against_mpmath(self):
-        # At sw2 = 0.999 Newton's own values are ~1e-10 off near the cusp, so
-        # the fit is judged where it differs most from them, against the
-        # 60-digit fixed point.
+        # At sw2 = 0.999 the fit is judged where it differs most from the
+        # exact solver, against the 60-digit fixed point.
         p = KernelParams(0.999, 0.001)
         for dots in (data_dots(), wide_dots()):
             got = kernel_from_dots(dots, DEQ_NTK, p)
             gap = np.abs(got - theta_deq_grid(dots, p)).reshape(-1)
             for i in np.argsort(gap)[-5:]:
                 want = mp_deq(dots.flat[i], p)
-                assert abs(got.flat[i] - want) <= 2e-10 * abs(want), (dots.flat[i], gap[i])
+                assert abs(got.flat[i] - want) <= 1e-12 * abs(want), (dots.flat[i], gap[i])
 
     def test_degree_doubles_until_the_check_passes(self, monkeypatch, caplog):
         # Over angles [0.045, pi] the vanilla kernel at depth 50 needs degree
@@ -578,20 +508,21 @@ class TestFiniteDepthFit:
         assert np.max(np.abs(got - want)) <= FIT_TOL * np.max(want)
 
     def test_fallback_is_logged_and_exact(self, caplog):
-        # Angles in [0.001, 0.05]: the vanilla kernel at depth 500 has a pole
-        # near the cusp, and no degree up to the cap meets FIT_TOL from any
-        # lower end tried.
-        p = KernelParams(1.0, 0.0)
-        dots = np.cos(np.linspace(0.001, 0.05, 2000))
+        # Without bias at sw2 = 0.999 the kernel has a pole at phi ~ -pi (1 -
+        # sw2) / sw2, just outside the angles of a Gram with a duplicated
+        # sample: no degree up to the cap meets FIT_TOL down to the cusp.
+        p = KernelParams(0.999, 0.001)
+        dots = data_dots()
+        dots[0, 1] = dots[1, 0] = 1.0 - 2.0**-52
         with caplog.at_level(logging.WARNING, logger="deqntk"):
-            got = kernel_from_dots(dots, VANILLA_NTK, p, 500)
-        assert np.array_equal(got, finite_depth_theta(dots, 500, p))
+            got = kernel_from_dots(dots, DEQ_NTK, p)
+        assert np.array_equal(got, theta_deq_grid(dots, p))
         [record] = caplog.records
         message = record.getMessage()
         assert record.name == "deqntk.gram"
-        assert "vanilla-ntk depth 500" in message
-        assert "angles [0.001, 0.05]" in message
-        assert "at degree 128 from lower end 0.00627" in message
+        assert message.startswith("deq-ntk: Chebyshev fit on angles [2.10734e-08, ")
+        assert "at degree 128, above 2e-11" in message
+        assert message.endswith("running the exact Newton solve on every entry")
 
     def test_vanilla_depth_500_against_mpmath(self, caplog):
         p = KernelParams(1.0, 0.0)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,16 +21,15 @@ from deqntk import (
     theta_linear_deq,
 )
 from deqntk import kernel
-from deqntk.kernel import _BLOCK, _fixed_point
+from mp_oracles import mp_deq, mp_finite_depth
 
 P_HALF = KernelParams(sigma_w_sq=0.5, sigma_u_sq=0.5)
 
 
 def solve_rho_star(dot, params):
     """Fixed point s* of the covariance map, rho* under the unit-sum
-    initialization; scalar in, scalar out."""
-    s = _fixed_point(dot, params)[0]
-    return float(s) if np.isscalar(dot) else s
+    initialization, entry by entry; scalar in, scalar out."""
+    return np.vectorize(lambda x: theta_deq(x, params).rho_star, otypes=[float])(dot)[()]
 
 
 class TestDualActivations:
@@ -90,8 +90,9 @@ class TestFixedPoint:
         assert abs(res.rho_star - 1.0) <= 1e-12
         # interior 1/(1 - 0.5) plus readout value 1
         assert abs(res.theta - 3.0) <= 1e-10
-        # x.y = 1 takes the closed-form root s* = a, so its value is the same
-        # in any batch; with k0(1) = k1(1) = 1 it is the linear kernel's
+        # x.y = 1 starts at its root u = 0, and each entry stops on its own,
+        # so its value is the same in any batch; with k0(1) = k1(1) = 1 it is
+        # the linear kernel's
         rng = np.random.default_rng(14)
         batch = np.append(np.cos(np.linspace(0.05, 3.0, 35)), 1.0)
         for _ in range(200):
@@ -139,6 +140,11 @@ class TestFixedPoint:
     def test_dot_domain(self):
         with pytest.raises(DomainError):
             theta_deq(1.1, P_HALF)
+        # rounding noise past +-1 is clamped, in both cores
+        edges = np.array([1.0 + 1e-13, -1.0 - 1e-13])
+        for solve in (lambda x: theta_deq_grid(x, P_HALF),
+                      lambda x: finite_depth_theta(x, 5, P_HALF)):
+            assert np.array_equal(solve(edges), solve(np.array([1.0, -1.0])))
 
 
 class TestLinearKernel:
@@ -238,9 +244,48 @@ class TestZeroInjection:
             assert np.isfinite(state.rho) and np.isfinite(state.sigma_dot)
 
 
-# Block boundaries of the array cores: one entry, one short of a block, a
-# full block, one past it and two blocks and a partial one.
-SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+class TestAgainstMpmath:
+    """Both cores against the high-precision oracles, entry by entry."""
+
+    @pytest.mark.parametrize("sw2", [0.1, 0.5, 0.9, 0.999])
+    def test_fixed_point_over_the_gap(self, sw2):
+        p = KernelParams(sw2, 1.0 - sw2)
+        dots = 1.0 - np.logspace(-16, 0.3, 18)
+        got = theta_deq_grid(dots, p)
+        for x, value in zip(dots, got):
+            want = mp_deq(x, p)
+            assert abs(value - want) <= 1e-13 * abs(want), (x, value, want)
+
+    def test_fixed_point_with_bias(self):
+        # sigma_b_sq > 0 and no unit-sum normalization: a != 1
+        rng = np.random.default_rng(16)
+        for _ in range(8):
+            p = KernelParams(rng.uniform(0.05, 0.99), rng.uniform(0.0, 1.0),
+                             rng.uniform(0.05, 1.0), rng.uniform(0.5, 2.0))
+            dots = np.concatenate([rng.uniform(-1.0, 1.0, 3), 1.0 - np.logspace(-16, -4, 3)])
+            for x, value in zip(dots, theta_deq_grid(dots, p)):
+                want = mp_deq(x, p)
+                assert abs(value - want) <= 1e-13 * abs(want), (p, x, value, want)
+
+    @pytest.mark.parametrize("params", [
+        KernelParams(0.6, 0.4),
+        KernelParams(0.5, 0.3, sigma_b_sq=0.4, sigma_v_sq=2.0),
+        KernelParams(1.0, 0.0),
+        KernelParams(0.8, 0.0, sigma_b_sq=0.5),
+    ])
+    def test_finite_depth(self, params):
+        dots = np.array([-1.0, -0.3, 0.3, 0.927, 1.0 - 1e-8, 1.0 - 2.0**-52, 1.0])
+        for depth in (1, 10, 100, 500):
+            for x, value in zip(dots, finite_depth_theta(dots, depth, params)):
+                want = mp_finite_depth(x, depth, params)
+                assert abs(value - want) <= 1e-13 * abs(want), (depth, x, value, want)
+
+
+# Block boundaries of the array cores, at a block of 16 entries: one entry,
+# one short of a block, a full block, one past it and two blocks and a
+# partial one.
+BLOCK = 16
+SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
 EDGE_PARAMS = (
     P_HALF,
     KernelParams(sigma_w_sq=0.6, sigma_u_sq=0.1, sigma_b_sq=0.3, sigma_v_sq=2.0),
@@ -249,14 +294,19 @@ EDGE_PARAMS = (
 )
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(kernel, "_BLOCK", BLOCK)
+
+
 def edge_dots(size, seed=0):
-    """Sorted dots with both ends +-1 exactly, so blocks hold different
-    values, plus a few entries at the cusp."""
+    """Shuffled dots with -1, 1 and values next to the cusp among them, so
+    that blocks mix fast and slow Newton entries, and angles on both sides
+    of the series switch."""
     rng = np.random.default_rng(seed)
-    dots = np.sort(rng.uniform(-1.0, 1.0, size))
-    dots[[0, -1]] = -1.0, 1.0
-    dots[size // 2 :: 997] = 1.0
-    return dots
+    dots = rng.uniform(-1.0, 1.0, size)
+    dots[:7] = [-1.0, 1.0, 1.0 - 2.0**-52, 1.0 - 1e-8, np.cos(0.049), np.cos(0.051), 0.0][:size]
+    return rng.permutation(dots)
 
 
 def shaped_inputs(sizes):
@@ -264,67 +314,37 @@ def shaped_inputs(sizes):
     yield np.array(0.25)
     for size in sizes:
         yield edge_dots(size)
-    yield edge_dots(3 * (_BLOCK // 2 + 1)).reshape(3, -1)
-    yield edge_dots(3 * (_BLOCK // 2 + 1)).reshape(-1, 3).T
+    yield edge_dots(3 * (BLOCK // 2 + 1)).reshape(3, -1)
+    yield edge_dots(3 * (BLOCK // 2 + 1)).reshape(-1, 3).T
     yield np.empty((0, 4))
 
 
-def finite_depth_reference(dot, d, params):
-    """The layer recursion over whole arrays, one layer at a time."""
-    sw2, su2, sb2 = params.sigma_w_sq, params.sigma_u_sq, params.sigma_b_sq
-
-    def k1(r):
-        if params.activation == LINEAR:
-            return r
-        return (np.sqrt(1.0 - r * r) + (np.pi - np.arccos(r)) * r) / np.pi
-
-    def k0(r):
-        if params.activation == LINEAR:
-            return np.ones_like(r)
-        return (np.pi - np.arccos(r)) / np.pi
-
-    dot = np.asarray(dot, dtype=float)
-    diag, cov, theta = 1.0, dot.copy(), dot.copy()
-    sigma_dot = np.zeros_like(dot)
-    vanished = False
-    for _ in range(d):
-        if sw2 * diag + su2 + sb2 == 0.0:
-            # the diagonal, and with it every covariance, has vanished: the
-            # kernel is 0, and rho, sigma_dot are those of the last layer
-            vanished = True
-            break
-        rho = np.clip(cov / diag, -1.0, 1.0)
-        sigma_dot = sw2 * k0(rho)
-        cov = sw2 * diag * k1(rho) + su2 * dot + sb2
-        diag = sw2 * diag + su2 + sb2
-        theta = sigma_dot * theta + cov
-    rho = np.clip(cov / diag, -1.0, 1.0)
-    out = params.sigma_v_sq * (k0(rho) * theta + diag * k1(rho))
-    if vanished:
-        theta, out = np.zeros_like(dot), np.zeros_like(dot)
-    return rho, sigma_dot, theta, out
+def assert_entrywise(solve, dot):
+    """``solve(dot)`` has ``dot``'s shape, and each entry equals that dot
+    solved alone, bit for bit."""
+    got = solve(dot)
+    assert got.shape == dot.shape
+    alone = [solve(np.array([x]))[0] for x in dot.ravel()]
+    assert np.array_equal(got.ravel(), alone)
+    return got
 
 
+@pytest.mark.usefixtures("small_blocks")
 class TestBlockBoundaries:
     @pytest.mark.parametrize("params", EDGE_PARAMS)
     @pytest.mark.parametrize("depth", [0, 1, 10, 500])
     def test_finite_depth_bit_identical(self, params, depth):
-        # depth 500 runs on one size per block boundary case to bound the time
-        sizes = SIZES if depth <= 10 else (_BLOCK + 1,)
+        # every entry of a multi-block call is the dot solved alone; depth
+        # 500 runs on one size per block boundary case to bound the time
+        sizes = SIZES if depth <= 10 else (BLOCK + 1,)
         for dot in shaped_inputs(sizes):
-            ref = finite_depth_reference(dot, depth, params)
-            got = finite_depth_theta(dot, depth, params)
-            assert got.shape == dot.shape
-            assert np.array_equal(got, ref[3])
-            assert np.array_equal(
-                finite_depth_theta(dot, depth, params, include_output_layer=False),
-                ref[2],
+            got = assert_entrywise(lambda x: finite_depth_theta(x, depth, params), dot)
+            assert_entrywise(
+                lambda x: finite_depth_theta(x, depth, params, include_output_layer=False), dot
             )
             if dot.ndim == 0:
-                state = finite_depth_ntk(dot, depth, params)
-                assert (state.rho, state.sigma_dot, state.theta) == tuple(
-                    float(x) for x in (ref[0], ref[1], ref[3])
-                )
+                state = finite_depth_ntk(float(dot), depth, params)
+                assert state.theta == got == finite_depth_theta(float(dot), depth, params)
 
     @given(
         st.floats(0.0, 0.999),
@@ -337,61 +357,63 @@ class TestBlockBoundaries:
     @settings(max_examples=25, deadline=None)
     def test_finite_depth_bit_identical_any_params(self, sw2, su2, sb2, act, depth):
         p = KernelParams(sw2, su2, sb2, activation=act)
-        dot = edge_dots(_BLOCK + 1)
-        assert np.array_equal(
-            finite_depth_theta(dot, depth, p),
-            finite_depth_reference(dot, depth, p)[3],
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "_BLOCK", BLOCK)
+            assert_entrywise(lambda x: finite_depth_theta(x, depth, p), edge_dots(BLOCK + 1))
 
     @pytest.mark.parametrize("params", EDGE_PARAMS)
     def test_newton_grid_matches_scalar(self, params):
+        # The grid and the scalar path agree bit for bit, at x.y = 1 too.
         rng = np.random.default_rng(4)
-        pool = np.concatenate([[-1.0, 1.0, 1.0 - 1e-12], rng.uniform(-1.0, 1.0, 300)])
-        pool.sort()
+        pool = np.concatenate([edge_dots(7), rng.uniform(-1.0, 1.0, 60)])
         scalar = [theta_deq(float(v), params) for v in pool]
-        ref_s = np.array([r.rho_star for r in scalar])
         ref = np.array([r.theta for r in scalar])
-        # Both solves stop at |F(s)| <= 1e-12 and |F'| >= 1 - sigma_w_sq, but
-        # a scalar stops at its own first such step while a block runs on
-        # until its slowest entry converges.  Theta inherits that gap through
-        # 1 / (1 - sigma_dot) and the arccos cusp: 3.5e-12 relative at
-        # sigma_w_sq = 0.5 and 1.9e-8 at 0.999 for these pools.  x.y = 1
-        # takes the closed-form root in both, so it matches bit for bit.
-        s_tol = 2e-12 / (1.0 - params.sigma_w_sq)
         for size in SIZES:
-            # sorted indices give each block a different range of values
-            idx = np.sort(rng.integers(0, pool.size, size))
-            idx[[0, -1]] = 0, pool.size - 1
+            idx = rng.integers(0, pool.size, size)
             for shape in ((size,), (1, size)):
-                s, _, theta, iterations, residual = _fixed_point(
-                    pool[idx].reshape(shape), params
-                )
+                theta = theta_deq_grid(pool[idx].reshape(shape), params)
                 assert theta.shape == shape
-                assert np.ndim(residual) == 0 and residual <= 1e-12
-                assert np.max(np.abs(s.ravel() - ref_s[idx])) <= s_tol
-                rel = np.abs(theta.ravel() - ref[idx]) / np.abs(ref[idx])
-                assert np.max(rel) <= 1e-7
-                one = pool[idx] == 1.0
-                assert np.array_equal(theta.ravel()[one], ref[idx][one])
-                assert iterations == max(scalar[i].iterations for i in np.unique(idx))
+                assert np.array_equal(theta.ravel(), ref[idx])
+            *_, iterations, residual = kernel._fixed_point(pool[idx], params)
+            assert iterations == max(scalar[i].iterations for i in idx)
+            assert residual == max(scalar[i].residual for i in idx)
 
     @pytest.mark.parametrize("params", EDGE_PARAMS)
     def test_newton_stops_per_block(self, params):
-        # A block runs until its own slowest entry converges, whatever the
-        # other blocks hold: each block's s, sigma_dot and theta are those of
-        # a solve on that block alone, and the counts are the blocks' largest.
-        dot = edge_dots(2 * _BLOCK + 3)
-        *arrays, iterations, residual = _fixed_point(dot, params)
-        alone = [_fixed_point(dot[lo:hi], params) for lo, hi in kernel._blocks(dot.size)]
-        assert len(alone) == 3
+        # The name is historical: each entry stops on its own, whatever the
+        # other entries of its block hold.  Its gap u, angle and kernel are
+        # those of the dot solved alone, and the counts are the entries'
+        # largest.
+        dot = edge_dots(2 * BLOCK + 3)
+        *arrays, iterations, residual = kernel._fixed_point(dot, params)
+        alone = [kernel._fixed_point(dot[i : i + 1], params) for i in range(dot.size)]
         for got, parts in zip(arrays, zip(*alone)):
             assert np.array_equal(got, np.concatenate(parts))
         assert iterations == max(part[3] for part in alone)
         assert residual == max(part[4] for part in alone)
+        assert_entrywise(lambda x: theta_deq_grid(x, params), dot)
 
     def test_newton_odd_shapes(self):
-        for dot in (np.array(0.25), np.empty((0, 4)), edge_dots(6).reshape(2, 3).T):
-            grid = theta_deq_grid(dot, P_HALF)
-            assert grid.shape == dot.shape
-            for g, v in zip(grid.ravel(), dot.ravel()):
-                assert abs(g - theta_deq(float(v), P_HALF).theta) <= 1e-11 * abs(g)
+        for dot in shaped_inputs((2 * BLOCK + 3,)):
+            assert_entrywise(lambda x: theta_deq_grid(x, P_HALF), dot)
+
+
+def traced_peak(f, *args):
+    """Peak traced allocation of ``f(*args)`` in bytes."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("solve, scratch", [
+    (lambda dot: theta_deq_grid(dot, P_HALF), 24),
+    (lambda dot: finite_depth_theta(dot, 10, P_HALF), 17),
+], ids=["newton", "finite-depth"])
+def test_grid_peak_is_one_output(solve, scratch):
+    # One full-size output plus at most ``scratch`` block-sized temporaries
+    # (22.3 and 15.1 measured); a second full-size array would add 7.6 blocks.
+    dot = np.random.default_rng(5).uniform(-1.0, 1.0, 250_000)
+    assert traced_peak(solve, dot) <= dot.nbytes + scratch * 8 * kernel._BLOCK
