@@ -300,12 +300,14 @@ def small_blocks(monkeypatch):
 
 
 def edge_dots(size, seed=0):
-    """Shuffled dots with -1, 1 and values next to the cusp among them, so
-    that blocks mix fast and slow Newton entries, and angles on both sides
-    of the series switch."""
+    """Shuffled dots with -1, 1 and values next to both among them, so that
+    blocks mix fast and slow Newton entries, and angles on both sides of the
+    series switch."""
     rng = np.random.default_rng(seed)
     dots = rng.uniform(-1.0, 1.0, size)
-    dots[:7] = [-1.0, 1.0, 1.0 - 2.0**-52, 1.0 - 1e-8, np.cos(0.049), np.cos(0.051), 0.0][:size]
+    edges = [-1.0, 1.0, 1.0 - 2.0**-52, 1.0 - 1e-8, np.cos(0.049), np.cos(0.051), 0.0,
+             -1.0 + 2.0**-52, -1.0 + 1e-10]
+    dots[: len(edges)] = edges[:size]
     return rng.permutation(dots)
 
 
