@@ -93,12 +93,12 @@ def _maybe_scalar(value, template):
 
 
 def _duals(t, activation):
-    """(phi / pi, g / pi) at gaps t = 1 - rho in [0, 2], where phi =
-    arccos(rho) = 2 asin(sqrt(t / 2)) and g = sin(phi) - phi cos(phi): k0 =
-    1 - phi / pi and 1 - k1 = t - g / pi, with no cancellation near rho = 1.
-    Both are 0 for the linear activation.  Below ``_SERIES_ANGLE`` g is its
-    Taylor series, run only when needed: in a = phi / 2, g / pi = (phi / pi)
-    a^2 (4/3 - 8/15 a^2 + 8/105 a^4 - 16/2835 a^6).
+    """(phi / pi, g / pi) at gaps t = 1 - rho in [0, 2] (both recursions keep
+    u in [0, 2 diag]), where phi = arccos(rho) = 2 asin(sqrt(t / 2)) and g =
+    sin(phi) - phi cos(phi): k0 = 1 - phi / pi and 1 - k1 = t - g / pi, with
+    no cancellation near rho = 1; both 0 for the linear activation.  Below
+    ``_SERIES_ANGLE`` g is its Taylor series, run only when needed: in a =
+    phi / 2, g / pi = (phi / pi) a^2 (4/3 - 8/15 a^2 + 8/105 a^4 - 16/2835 a^6).
     """
     if activation == LINEAR:
         return np.zeros_like(t), np.zeros_like(t)

@@ -525,14 +525,16 @@ class TestFiniteDepthFit:
         assert message.endswith("running the exact Newton solve on every entry")
 
     def test_vanilla_depth_500_against_mpmath(self, caplog):
+        # the second range lies next to the cusp, where the deep layers'
+        # angle map is sharpest
         p = KernelParams(1.0, 0.0)
-        dots = np.linspace(0.3, 0.9, 2001)
-        with caplog.at_level(logging.WARNING, logger="deqntk"):
-            got = kernel_from_dots(dots, VANILLA_NTK, p, 500)
-        assert not caplog.records
-        for i in (0, 1000, 2000):
-            want = mp_finite_depth(dots[i], 500, p)
-            assert abs(got[i] - want) <= 1e-11 * abs(want), (dots[i], got[i], want)
+        for dots in (np.linspace(0.3, 0.9, 2001), np.cos(np.linspace(0.001, 0.05, 2001))):
+            with caplog.at_level(logging.WARNING, logger="deqntk"):
+                got = kernel_from_dots(dots, VANILLA_NTK, p, 500)
+            assert not caplog.records
+            for i in (0, 1000, 2000):
+                want = mp_finite_depth(dots[i], 500, p)
+                assert abs(got[i] - want) <= 1e-11 * abs(want), (dots[i], got[i], want)
 
 
 class TestSweeps:
