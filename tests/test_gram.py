@@ -459,11 +459,10 @@ class TestFiniteDepthFit:
 
     @pytest.mark.parametrize("tag, depth", fitted_tags((10, 50, 500)))
     def test_near_duplicates_alone_run_exact(self, tag, depth, monkeypatch, caplog):
-        # A duplicated sample comes out of BLAS one ulp below 1.  The name is
-        # historical: the fit now spans the whole range, such entries
-        # included, so the exact solver sees only the fit's nodes, nothing
-        # is logged, and the near entries are within the fit's tolerance of
-        # the high-precision kernel.
+        # A duplicated sample comes out of BLAS one ulp below 1.  Such
+        # entries stay inside the one fit: the exact solver sees only the
+        # fit's nodes, nothing is logged, and the near entries are within the
+        # fit's tolerance of the high-precision kernel.
         dots = data_dots(n=100)
         near = ((0, 2), (1, 3))
         dots[near] = dots[near[::-1]] = 1.0 - 2.0**-52, np.cos(1e-5)

@@ -382,10 +382,9 @@ class TestBlockBoundaries:
 
     @pytest.mark.parametrize("params", EDGE_PARAMS)
     def test_newton_stops_per_block(self, params):
-        # The name is historical: each entry stops on its own, whatever the
-        # other entries of its block hold.  Its gap u, angle and kernel are
-        # those of the dot solved alone, and the counts are the entries'
-        # largest.
+        # Each entry stops on its own, whatever the other entries of its
+        # block hold: its covariance, angle and kernel are those of the dot
+        # solved alone, and the counts are the entries' largest.
         dot = edge_dots(2 * BLOCK + 3)
         *arrays, iterations, residual = kernel._fixed_point(dot, params)
         alone = [kernel._fixed_point(dot[i : i + 1], params) for i in range(dot.size)]
