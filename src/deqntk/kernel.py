@@ -106,10 +106,10 @@ def _duals(t, activation):
     p = a * (2.0 / np.pi)
     small = p < _SERIES_ANGLE / np.pi
     n = np.count_nonzero(small)
-    if n < small.size:
+    if n < small.size or not small.size:
         q = np.sqrt(t * (2.0 - t)) * (1.0 / np.pi) - p * (1.0 - t)
         if n:  # the direct form is exact at t = 0 (x.y = 1), a fit node
-            n -= np.count_nonzero(t == 0.0)
+            n -= t.size - np.count_nonzero(t)
     if n:
         y = a * a
         series = p * y * (4 / 3 - y * (8 / 15 - y * (8 / 105 - y * (16 / 2835))))
@@ -304,8 +304,9 @@ def theta_linear_deq(dot, params: KernelParams):
     sigma_v_sq * (sigma_u_sq * x.y + sigma_b_sq)
     * (1/(1-sigma_w_sq)^2 + 1/(1-sigma_w_sq)).
     """
+    x = _clip(_as_correlation(dot), -1.0, 1.0)
     params.require_contraction()
-    inject = params.sigma_u_sq * np.asarray(dot, dtype=float) + params.sigma_b_sq
+    inject = params.sigma_u_sq * x + params.sigma_b_sq
     w = 1.0 - params.sigma_w_sq
     val = params.sigma_v_sq * inject * (1.0 / (w * w) + 1.0 / w)
     return _maybe_scalar(val, dot)

@@ -23,20 +23,29 @@ def _duals(mp, rho, activation):
     return k0, (mp.sqrt(1 - rho * rho) + mp.pi * k0 * rho) / mp.pi
 
 
-def mp_finite_depth(dot, depth, p, dps=50):
-    """Finite-depth kernel of one pair by the layer recursion at ``dps``
-    digits."""
+def mp_finite_depth_state(dot, depth, p, dps=50):
+    """(rho, sigma_dot, theta) of one pair by the layer recursion at ``dps``
+    digits: the correlation entering the readout, sigma_w_sq k0 of the last
+    interior layer (0 at depth 0) and the kernel."""
     mp = _mp(dps)
     sw2, su2, sb2 = (mp.mpf(v) for v in (p.sigma_w_sq, p.sigma_u_sq, p.sigma_b_sq))
     dot = mp.mpf(float(dot))
-    diag, cov, theta = mp.mpf(1), dot, dot
+    diag, cov, theta, sigma_dot = mp.mpf(1), dot, dot, mp.mpf(0)
     for layer in range(depth + 1):
         k0, k1 = _duals(mp, cov / diag, p.activation)
         if layer == depth:
-            return float(mp.mpf(p.sigma_v_sq) * (k0 * theta + diag * k1))
+            out = mp.mpf(p.sigma_v_sq) * (k0 * theta + diag * k1)
+            return float(cov / diag), float(sigma_dot), float(out)
+        sigma_dot = sw2 * k0
         cov = sw2 * diag * k1 + su2 * dot + sb2
-        theta = sw2 * k0 * theta + cov
+        theta = sigma_dot * theta + cov
         diag = sw2 * diag + su2 + sb2
+
+
+def mp_finite_depth(dot, depth, p, dps=50):
+    """Finite-depth kernel of one pair by the layer recursion at ``dps``
+    digits."""
+    return mp_finite_depth_state(dot, depth, p, dps)[2]
 
 
 def mp_deq(dot, p, dps=60):

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 
 from deqntk import (
     LINEAR,
+    NORMALIZED_RELU,
     ConvergenceError,
     DomainError,
     KernelParams,
@@ -159,6 +160,15 @@ class TestAssembly:
         G = assemble_gram(X, DEQ_NTK, p_lin).values
         closed = theta_linear_deq(gram._dot_matrix(X), p_lin)
         assert np.array_equal(G, closed)
+
+    @pytest.mark.parametrize("activation", [NORMALIZED_RELU, LINEAR])
+    def test_dots_past_one_rejected(self, activation):
+        # every activation of the fixed-point tag checks its dots
+        p = KernelParams(sigma_w_sq=0.5, sigma_u_sq=0.5, activation=activation)
+        for bad in (1.0 + 1e-9, -1.0 - 1e-9):
+            dots = np.array([[1.0, 0.5], [0.5, bad]])
+            with pytest.raises(DomainError):
+                kernel_from_dots(dots, DEQ_NTK, p)
 
     def test_cdeq_entries_equal_pair_values(self):
         imgs = unit_images(4, 5, 4, 2, seed=4)

@@ -21,7 +21,7 @@ from deqntk import (
     theta_linear_deq,
 )
 from deqntk import kernel
-from mp_oracles import mp_deq, mp_finite_depth
+from mp_oracles import mp_deq, mp_finite_depth_state
 
 P_HALF = KernelParams(sigma_w_sq=0.5, sigma_u_sq=0.5)
 
@@ -66,7 +66,7 @@ class TestDualActivations:
     def test_return_types(self, dual):
         # a float in gives a float out; an array, a new array of its shape
         assert type(dual(0.25)) is float
-        for rho in (np.array(0.25), np.full((2, 3), 0.25)):
+        for rho in (np.array(0.25), np.full((2, 3), 0.25), np.empty(0)):
             out = dual(rho)
             assert isinstance(out, np.ndarray) and out.shape == rho.shape
             out[...] = 0.0
@@ -170,6 +170,15 @@ class TestLinearKernel:
         for dot in np.linspace(-1.0, 1.0, 9):
             closed = theta_linear_deq(dot, p)
             assert abs(closed - theta_deq(dot, p).theta) <= 1e-12
+
+    def test_dot_domain(self):
+        # dots past +-1 beyond rounding are rejected; rounding reads as +-1
+        for dot in (1.0 + 1e-9, np.array([0.5, -1.0 - 1e-9])):
+            with pytest.raises(DomainError):
+                theta_linear_deq(dot, self.P_LIN)
+        for edge in (1.0, -1.0):
+            past = edge * (1.0 + 1e-13)
+            assert theta_linear_deq(past, self.P_LIN) == theta_linear_deq(edge, self.P_LIN)
 
     def test_proportional_to_dot(self):
         assert theta_linear_deq(0.0, self.P_LIN) == 0.0
@@ -277,8 +286,14 @@ class TestAgainstMpmath:
         dots = np.array([-1.0, -0.3, 0.3, 0.927, 1.0 - 1e-8, 1.0 - 2.0**-52, 1.0])
         for depth in (1, 10, 100, 500):
             for x, value in zip(dots, finite_depth_theta(dots, depth, params)):
-                want = mp_finite_depth(x, depth, params)
+                rho, sigma_dot, want = mp_finite_depth_state(x, depth, params)
                 assert abs(value - want) <= 1e-13 * abs(want), (depth, x, value, want)
+                # the pair state: the correlation entering the readout, to
+                # 1e-13 of its gap to 1, and the last interior sigma_dot
+                state = finite_depth_ntk(x, depth, params)
+                assert state.theta == value
+                assert abs(state.rho - rho) <= 1e-13 * (1.0 - rho) + 2.0**-52, (depth, x)
+                assert abs(state.sigma_dot - sigma_dot) <= 1e-13 * sigma_dot, (depth, x)
 
 
 # Block boundaries of the array cores, at a block of 16 entries: one entry,
@@ -379,6 +394,10 @@ class TestBlockBoundaries:
             *_, iterations, residual = kernel._fixed_point(pool[idx], params)
             assert iterations == max(scalar[i].iterations for i in idx)
             assert residual == max(scalar[i].residual for i in idx)
+            # |F| at the frozen entries is rounding noise on the scale of the
+            # diagonal limit (at most 1.6e-16 of it measured)
+            assert np.ndim(residual) == 0
+            assert residual <= 1e-14 * max(1.0, kernel._diag_fixed_point(params))
 
     @pytest.mark.parametrize("params", EDGE_PARAMS)
     def test_newton_stops_per_block(self, params):
