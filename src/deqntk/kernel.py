@@ -304,9 +304,8 @@ def theta_linear_deq(dot, params: KernelParams):
     sigma_v_sq * (sigma_u_sq * x.y + sigma_b_sq)
     * (1/(1-sigma_w_sq)^2 + 1/(1-sigma_w_sq)).
     """
-    x = _clip(_as_correlation(dot), -1.0, 1.0)
     params.require_contraction()
-    inject = params.sigma_u_sq * x + params.sigma_b_sq
+    inject = params.sigma_u_sq * _clip(_as_correlation(dot), -1.0, 1.0) + params.sigma_b_sq
     w = 1.0 - params.sigma_w_sq
     val = params.sigma_v_sq * inject * (1.0 / (w * w) + 1.0 / w)
     return _maybe_scalar(val, dot)

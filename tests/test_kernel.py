@@ -138,12 +138,16 @@ class TestFixedPoint:
             theta_deq(0.0, p)
 
     def test_dot_domain(self):
+        p_lin = KernelParams(sigma_w_sq=0.125, sigma_u_sq=0.875, activation=LINEAR)
         with pytest.raises(DomainError):
             theta_deq(1.1, P_HALF)
-        # rounding noise past +-1 is clamped, in both cores
+        with pytest.raises(DomainError):
+            theta_linear_deq(np.array([0.5, -1.0 - 1e-9]), p_lin)
+        # rounding noise past +-1 is clamped, in both cores and the closed form
         edges = np.array([1.0 + 1e-13, -1.0 - 1e-13])
         for solve in (lambda x: theta_deq_grid(x, P_HALF),
-                      lambda x: finite_depth_theta(x, 5, P_HALF)):
+                      lambda x: finite_depth_theta(x, 5, P_HALF),
+                      lambda x: theta_linear_deq(x, p_lin)):
             assert np.array_equal(solve(edges), solve(np.array([1.0, -1.0])))
 
 
@@ -170,15 +174,6 @@ class TestLinearKernel:
         for dot in np.linspace(-1.0, 1.0, 9):
             closed = theta_linear_deq(dot, p)
             assert abs(closed - theta_deq(dot, p).theta) <= 1e-12
-
-    def test_dot_domain(self):
-        # dots past +-1 beyond rounding are rejected; rounding reads as +-1
-        for dot in (1.0 + 1e-9, np.array([0.5, -1.0 - 1e-9])):
-            with pytest.raises(DomainError):
-                theta_linear_deq(dot, self.P_LIN)
-        for edge in (1.0, -1.0):
-            past = edge * (1.0 + 1e-13)
-            assert theta_linear_deq(past, self.P_LIN) == theta_linear_deq(edge, self.P_LIN)
 
     def test_proportional_to_dot(self):
         assert theta_linear_deq(0.0, self.P_LIN) == 0.0
