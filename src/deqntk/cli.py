@@ -120,11 +120,11 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _int_list(least: int):
-    """Callback of a comma-list option: one or more integers >= ``least``.
-    The text is passed on as given, for the manifest."""
+    """Callback of a comma-list option: one or more integers >= ``least``,
+    or None when unset.  The text is passed on as given, for the manifest."""
     def check(ctx, param, text):
         try:
-            if min(_parse_int_list(text)) >= least:
+            if text is None or min(_parse_int_list(text)) >= least:
                 return text
         except ValueError:  # not integers, or none
             pass
@@ -218,18 +218,18 @@ def _csv(rows, fields):
 
 @command(kernel=(0.5, 0.5))
 @click.option("--dot", type=float, default=0.0, help="inner product of the pair")
-@click.option("--sweep-depths", default=None,
+@click.option("--sweep-depths", default=None, callback=_int_list(0),
               help="comma list; also tabulate pre-readout kernel vs dot per depth")
 def kernel(params, dot, sweep_depths):
     """Fixed-point kernel value for one inner product (and optional sweep)."""
+    if sweep_depths and click.get_current_context().params["out"] is None:
+        raise ValueError("--sweep-depths requires --out")
     res = theta_deq(dot, params)
     click.echo(f"theta = {res.theta:.17g}")
     click.echo(f"rho_star = {res.rho_star:.17g}")
     click.echo(f"sigma_dot_star = {res.sigma_dot_star:.17g}")
     if not sweep_depths:
         return {}, {}
-    if click.get_current_context().params["out"] is None:
-        raise ValueError("--sweep-depths requires --out")
     rows = theta_vs_dot_sweep(params, _parse_int_list(sweep_depths))
     return {"theta_vs_dot.csv": _csv(rows, ["dot", "depth", "theta"])}, {}
 

@@ -23,7 +23,8 @@ The full-tensor path (`pixel_inner_tensor`, `patch_trace`,
 `cdeq_sigma_fixed_point`, `_tensor_diag`) is kept because the acceptance
 criteria inspect full tensors, and the tests use it as the reference for
 the slice solver.  Both paths sum windows by separable shifted adds in
-`_box_sum` and iterate in `_iterate_pairs`.
+`_box_sum` and iterate in `kernel._iterate`, the package's one fixed-point
+loop.
 """
 from __future__ import annotations
 
@@ -32,8 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SingularityError
-from .kernel import _BLOCK, _check_unit, _diag_fixed_point, _duals_at
+from .errors import DomainError, SingularityError
+from .kernel import (
+    _BLOCK, _check_unit, _convergence_error, _diag_fixed_point, _duals_at, _iterate,
+)
 from .params import KernelParams
 
 _PSD_TOL = 1e-8
@@ -152,43 +155,6 @@ def _max_change(new, old):
     return np.abs(new - old).reshape(len(new), -1).max(axis=1)
 
 
-def _iterate_pairs(x, step, operands, tol, max_iter):
-    """Iterate x <- step(x, *operands) on an array of pairs (first axis).
-
-    ``step`` returns the new iterate and each pair's change.  A pair stops at
-    its first step whose change is <= ``tol``; it is then frozen and leaves
-    the batch with its operands, so its result does not depend on the other
-    pairs.  Returns (x*, missed): missed lists (k, change) for the pairs
-    still moving after ``max_iter`` steps.
-    """
-    out = np.empty(x.shape)
-    live = np.arange(len(x))
-    change = np.full(len(x), np.inf)
-    for _ in range(max_iter):
-        if not live.size:
-            break
-        x, change = step(x, *operands)
-        done = change <= tol
-        if done.any():
-            out[live[done]] = x[done]
-            keep = ~done
-            live, x, change = live[keep], x[keep], change[keep]
-            operands = tuple(o[keep] for o in operands)
-    return out, list(zip(live, change))
-
-
-def _convergence_error(stage, misses, rows, cols, tol, budget):
-    """The error of a stage whose pairs (rows[k], cols[k]) were still moving
-    after ``budget`` steps; ``misses`` lists (k, change) and is not empty."""
-    k, change = misses[0]
-    measure = "max change" if stage == "covariance" else "trace error bound"
-    return ConvergenceError(
-        f"{stage} fixed point: {len(misses)} of {len(rows)} image pairs did "
-        f"not converge to tol={tol} in {budget} iterations; first is images "
-        f"({rows[k]}, {cols[k]}), {measure} {change:.3e} at the budget"
-    )
-
-
 def cdeq_sigma_fixed_point(
     x: np.ndarray,
     y: np.ndarray,
@@ -217,11 +183,12 @@ def cdeq_sigma_fixed_point(
         return new[None], _max_change(new[None], sigma)
 
     K0 = pixel_inner_tensor(x, y)
-    sigma, missed = _iterate_pairs(
+    sigma, _, _, missed = _iterate(
         d * _sigma_update(K0, norm)[None], step, (K0[None],), tol, max_iter
     )
     if missed:
-        raise _convergence_error("covariance", missed, [0], [0], tol, max_iter)
+        raise _convergence_error("covariance fixed point", "1 image pairs", tol, max_iter,
+                                 missed, lambda k: "images (0, 0)")
     return sigma[0], cdeq_k_step(sigma[0], K0, params)[1]
 
 
@@ -268,10 +235,10 @@ def _cdeq_pairs(X, Y, rows, cols, q: int, params: KernelParams,
         x, y = x[~same], y[~same]
         # channel by channel, so that no layout changes the order of the sum
         K0 = sum(x[..., c] * y[..., c] for c in range(x.shape[-1]))
-        sigma, missed = _iterate_pairs(
+        sigma, _, _, missed = _iterate(
             d * average(K0), sigma_step, (K0,), sigma_tol, max_iter
         )
-        misses["covariance"] += [(pairs[k], change) for k, change in missed]
+        misses["covariance"] += [(pairs[k], *rest) for k, *rest in missed]
         if misses["covariance"]:
             continue  # no value is returned; count the rest of the misses
         _, Kdot = cdeq_k_step(sigma, K0, params)
@@ -279,17 +246,19 @@ def _cdeq_pairs(X, Y, rows, cols, q: int, params: KernelParams,
         # average does not expand it), so P*Q*L/(1 - L) times a step's max
         # change bounds the error of the trace.
         L = Kdot.reshape(len(x), -1).max(axis=1)
-        theta, missed = _iterate_pairs(
+        theta, _, _, missed = _iterate(
             sigma, theta_step, (Kdot, sigma, P * Q * L / (1.0 - L)), theta_tol,
             _THETA_MAX_ITER,
         )
-        misses["kernel"] += [(pairs[k], change) for k, change in missed]
+        misses["kernel"] += [(pairs[k], *rest) for k, *rest in missed]
         # fsum rounds each trace once, whatever the batch and its layout
         values[pairs] = [math.fsum(t) for t in theta.reshape(len(x), -1).tolist()]
     for stage, tol, budget in (("covariance", sigma_tol, max_iter),
                                ("kernel", theta_tol, _THETA_MAX_ITER)):
         if misses[stage]:
-            raise _convergence_error(stage, misses[stage], rows, cols, tol, budget)
+            raise _convergence_error(
+                f"{stage} fixed point", f"{rows.size} image pairs", tol, budget,
+                misses[stage], lambda k: f"images ({rows[k]}, {cols[k]})")
     return values
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceError, SingularityError
+from .errors import SingularityError
+from .kernel import _convergence_error, _iterate
 from .params import LINEAR, KernelParams
 
 _MATRIX_IDS = {"W": 0, "U": 1, "b": 2, "v": 3}
@@ -104,55 +105,38 @@ def _injection(weights: DeqWeights, x: np.ndarray) -> np.ndarray:
     return inj
 
 
-def _iterate(step, start, tol, max_iter, what):
-    """Plain iteration z <- step(z) from ``start``.
-
-    Returns the state at the first iterate z whose residual ||step(z) - z||
-    / (1 + ||z||) is <= ``tol``, and step(z).  Otherwise the ConvergenceError
-    names ``what``, the last residual and the observed contraction: the
-    ratio of the last two residuals.
-    """
-    mapped, residual = start, np.inf
-    for it in range(1, max_iter + 1):
-        z = mapped
+def _solve(step, start, tol, max_iter, stage):
+    """Plain iteration z <- step(z) from ``start``, as ``kernel._iterate`` on
+    a batch of one row.  An iterate's change is its residual ||step(z) - z||
+    / (1 + ||z||); the state is the first step(z) whose residual is <= tol."""
+    def residual_step(z):
         mapped = step(z)
-        previous = residual
-        residual = np.linalg.norm(mapped - z) / (1.0 + np.linalg.norm(z))
-        if residual <= tol:
-            return EquilibriumState(z, float(residual), it), mapped
-    rate = f", observed contraction {residual / previous:.3g}" if max_iter > 1 else ""
-    raise ConvergenceError(
-        f"{what} did not reach tol={tol} in {max_iter} iterations "
-        f"(residual {residual:.3e}{rate})"
-    )
+        return mapped, np.array([np.linalg.norm(mapped - z) / (1.0 + np.linalg.norm(z))])
+
+    z, residual, iterations, misses = _iterate(start[None], residual_step, (), tol, max_iter)
+    if misses:
+        raise _convergence_error(stage, "1 passes", tol, max_iter, misses,
+                                 lambda k: f"the {stage}")
+    return EquilibriumState(z[0], float(residual[0]), iterations)
 
 
-def deq_forward(
-    weights: DeqWeights,
-    x: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-) -> EquilibriumState:
+def deq_forward(weights: DeqWeights, x: np.ndarray, tol: float = 1e-10,
+                max_iter: int = 10000) -> EquilibriumState:
     """Solve the forward fixed point by plain iteration.
 
     The map value act(A z + inj) that measures an iterate's residual is the
-    next iterate, so each iteration costs one matvec.  A = sqrt(sigma_w_sq /
-    n) W is applied as a scaled matvec with W, never formed.
+    next iterate, and the last one is the returned state, so each iteration
+    costs one product with W.  A = sqrt(sigma_w_sq / n) W is never formed.
     """
     act, _ = _act_pair(weights.params)
     scale = np.sqrt(weights.params.sigma_w_sq / weights.n)
     inj = _injection(weights, x)
-    return _iterate(lambda z: act(scale * (weights.W @ z) + inj), act(inj), tol,
-                    max_iter, "forward pass")[0]
+    return _solve(lambda z: act(scale * (z @ weights.W.T) + inj), act(inj), tol,
+                  max_iter, "forward pass")
 
 
-def _adjoint_vector(
-    weights: DeqWeights,
-    z_star: np.ndarray,
-    x: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-) -> np.ndarray:
+def _adjoint_vector(weights: DeqWeights, z_star: np.ndarray, x: np.ndarray,
+                    tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
     """p = D u, where u = c + A^T (D u) and D = diag(act'(pre-activation)).
 
     u is found by plain iteration with the forward pass's residual rule.
@@ -164,9 +148,9 @@ def _adjoint_vector(
     scale = np.sqrt(p.sigma_w_sq / weights.n)
     D = dact(scale * (weights.W @ z_star) + _injection(weights, x))
     c = np.sqrt(p.sigma_v_sq / weights.n) * weights.v
-    _, mapped = _iterate(lambda u: c + scale * (weights.W.T @ (D * u)), c, tol,
-                         max_iter, "adjoint pass")
-    return D * mapped
+    u = _solve(lambda u: c + scale * ((D * u) @ weights.W), c, tol, max_iter,
+               "adjoint pass").z_star
+    return D * u
 
 
 def ift_ntk_pair(

@@ -30,7 +30,7 @@ _UNIT_NORM_TOL = 1e-9
 
 _MAX_NEWTON_ITER = 200
 #: Newton freezes an entry once its step is at most this fraction of u.
-_STEP_TOL = 1e-15
+_STEP_TOL = 1e-8
 #: Below this angle g = sin(phi) - phi cos(phi) is its Taylor series; the
 #: direct form loses ~eps / phi^2 of g to cancellation.
 _SERIES_ANGLE = 0.05
@@ -225,6 +225,47 @@ def finite_depth_ntk(dot, d: int, params: KernelParams) -> PairKernelState:
     )
 
 
+def _iterate(x, step, operands, tol, max_iter):
+    """Iterate x <- step(x, *operands) over the entries along x's first axis.
+
+    ``step`` returns the new iterate and each entry's change.  An entry stops
+    at its first step whose change is <= ``tol``: it is frozen with the
+    post-step iterate and leaves the batch with its operands, so its result
+    does not depend on the other entries.  Returns (x*, each entry's change
+    at its stop, the steps of the last entry to stop, misses): misses lists
+    (k, last change, the change before) for the entries still moving after
+    ``max_iter`` steps.
+    """
+    out, changes = np.empty(x.shape), np.empty(len(x))
+    live, change = np.arange(len(x)), np.full(len(x), np.inf)
+    last, iterations = change, 0
+    for it in range(1, max_iter + 1):
+        if not live.size:
+            break
+        last, (x, change) = change, step(x, *operands)
+        done = change <= tol
+        if done.any():
+            k, keep = live[done], ~done
+            out[k], changes[k], iterations = x[done], change[done], it
+            live, x, change, last = live[keep], x[keep], change[keep], last[keep]
+            operands = tuple(o[keep] for o in operands)
+    return out, changes, iterations, list(zip(live, change, last))
+
+
+def _convergence_error(stage, what, tol, budget, misses, name):
+    """The error of a solve over ``what`` whose ``misses`` (see ``_iterate``;
+    not empty) were still moving after ``budget`` steps; ``name(k)`` names
+    entry k's input.  The observed contraction is the ratio of the first
+    miss's last two changes."""
+    k, change, last = misses[0]
+    with np.errstate(all="ignore"):  # a diverged entry may read inf / inf
+        rate = f", observed contraction {change / last:.3g}" if budget > 1 else ""
+    return ConvergenceError(
+        f"{stage}: {len(misses)} of {what} still moving after {budget} iterations "
+        f"at tol={tol}; first is {name(k)}, last change {change:.3e}{rate}"
+    )
+
+
 def _fixed_point(x, params: KernelParams):
     """Depth-limit kernel quantities over a 1-D block of inner products.
 
@@ -232,53 +273,40 @@ def _fixed_point(x, params: KernelParams):
     the gap u = a - s* of the covariance to the diagonal limit a (``_duals``
     at t = u / a).  F is convex and increasing, with F'(u) = (1 - sw2) + sw2
     phi / pi = 1 - sigma_dot >= 1 - sw2, so from the linear root u0 = su2 (1
-    - x.y) / (1 - sw2) >= u* it falls to the root; x.y = 1 starts there.
-    s moves with u from the linear root's covariance, so it keeps its own
-    digits near 0.  An entry freezes once |du| <= _STEP_TOL u or |du| stops
-    falling, whatever the other entries do.  The kernel is s* / (1 -
-    sigma_dot*) plus the readout, a k1 = s* + a g / pi.  Returns (s*, phi /
-    pi, theta, most steps of an entry, largest |F| at a frozen entry).
+    - x.y) / (1 - sw2) >= u* it falls to the root; x.y = 1 starts there.  An
+    entry freezes with the post-step u once |du| <= _STEP_TOL u: Newton's
+    next error is then at most about (|du| / u)^2 / 4 relative.  s* = s0 +
+    (u0 - u*) moves from the linear root's covariance, so it keeps its own
+    digits near 0.  The kernel is s* / (1 - sigma_dot*) plus the readout, a
+    k1 = s* + a g / pi.  Returns (s*, phi / pi, theta, most steps of an
+    entry, largest |F(u*)|).
     """
     sw2, act = params.sigma_w_sq, params.activation
     a = _diag_fixed_point(params)
-    ss, ps, thetas = np.zeros(x.size), np.zeros(x.size), np.zeros(x.size)
     if a == 0.0:
         # Without injection or bias every covariance decays to 0 and every
         # correlation tends to 1, the only fixed point of k1: the kernel is 0.
-        return ss, ps, thetas, 0, 0.0
+        return np.zeros(x.size), np.zeros(x.size), np.zeros(x.size), 0, 0.0
     x = _clip(x, -1.0, 1.0)
     inject = params.sigma_u_sq * (1.0 - x)
-    u = inject / (1.0 - sw2)
-    s = (params.sigma_u_sq * x + params.sigma_b_sq) / (1.0 - sw2)
-    live, last = np.arange(x.size), np.inf
-    iterations, residual = 0, 0.0
-    for step in range(1, _MAX_NEWTON_ITER + 1):
-        if not live.size:
-            break
+
+    def step(u, inject):
         p, q = _duals(u / a, act)
-        f = (1.0 - sw2) * u - inject + (sw2 * a) * q
-        slope = (1.0 - sw2) + sw2 * p
-        du = f / slope
-        size = np.abs(du)
-        done = (size <= _STEP_TOL * u) | (size >= last)
-        if done.any():
-            k, sd, pd = live[done], s[done], p[done]
-            ss[k], ps[k] = sd, pd
-            thetas[k] = (1.0 - pd) * sd / slope[done] + sd + a * q[done]
-            residual = max(residual, np.abs(f[done]).max())
-            iterations = step
-            live, u, s, inject, f, du, size = (
-                v[~done] for v in (live, u, s, inject, f, du, size))
+        du = ((1.0 - sw2) * u - inject + (sw2 * a) * q) / ((1.0 - sw2) + sw2 * p)
         u = u - du
-        s = s + du
-        last = size
-    if live.size:
-        raise ConvergenceError(
-            f"covariance fixed point not found in {_MAX_NEWTON_ITER} "
-            f"iterations (max residual {np.abs(f).max():.3e}; first "
-            f"unconverged x.y = {float(x[live[0]])!r})"
-        )
-    return ss, ps, params.sigma_v_sq * thetas, iterations, residual
+        return u, np.abs(du) / (u + 1e-300)  # finite at x.y = 1: u = du = 0
+
+    u0 = inject / (1.0 - sw2)
+    u, _, iterations, misses = _iterate(u0, step, (inject,), _STEP_TOL, _MAX_NEWTON_ITER)
+    if misses:
+        raise _convergence_error("covariance Newton", f"{x.size} dots", _STEP_TOL,
+                                 _MAX_NEWTON_ITER, misses, lambda k: f"x.y = {float(x[k])!r}")
+    p, q = _duals(u / a, act)
+    slope = (1.0 - sw2) + sw2 * p
+    s = (params.sigma_u_sq * x + params.sigma_b_sq) / (1.0 - sw2) + (u0 - u)
+    theta = (1.0 - p) * s / slope + s + a * q
+    residual = np.abs((1.0 - sw2) * u - inject + (sw2 * a) * q).max(initial=0.0)
+    return s, p, params.sigma_v_sq * theta, iterations, float(residual)
 
 
 def theta_deq_grid(dot, params: KernelParams):

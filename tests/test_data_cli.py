@@ -417,6 +417,7 @@ UNUSABLE = [
     ("depth-sweep", "--depths", "1,-1"), ("depth-sweep", "--depths", "1,x"),
     ("regress", "--reg-eps", "-1"), ("regress", "--reg-eps", "nan"),
     ("depth-sweep", "--reg-eps", "-1e-4"), ("depth-sweep", "--reg-eps", "inf"),
+    ("kernel", "--sweep-depths", "5,x"), ("kernel", "--sweep-depths", "-3"),
 ]
 
 
@@ -436,6 +437,12 @@ class TestRunner:
         assert result.exit_code == EXIT_CONFIG, result.output
         assert f"Invalid value for '{option}'" in result.output
         assert not (tmp_path / "out").exists()
+
+    def test_sweep_without_out_fails_before_computing(self):
+        result = CliRunner().invoke(main, ["kernel", "--sweep-depths", "3"])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert "--sweep-depths requires --out" in result.output
+        assert "theta" not in result.output
 
     def test_list_options_recorded_as_given(self, tmp_path):
         result = CliRunner().invoke(main, [

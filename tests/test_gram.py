@@ -196,7 +196,7 @@ class TestAssembly:
             assemble_gram(imgs, CDEQ_NTK, p, filter_size=3)
         msg = str(info.value)
         assert msg.startswith("covariance fixed point: 3 of 6 image pairs")
-        assert "in 30 iterations" in msg and "images (0, 1)" in msg
+        assert "after 30 iterations" in msg and "first is images (0, 1)" in msg
 
 
 def with_nan(a):

@@ -106,9 +106,19 @@ class TestFixedPoint:
 
     def test_budget_names_first_unconverged_dot(self, monkeypatch):
         monkeypatch.setattr(kernel, "_MAX_NEWTON_ITER", 1)
-        # x.y = 1 starts at its root; the other two do not
-        with pytest.raises(ConvergenceError, match=r"first unconverged x\.y = -0\.5\)"):
+        # x.y = 1 starts at its root and freezes at step 1; the other two do not
+        with pytest.raises(ConvergenceError, match=r"2 of 3 dots .* first is x\.y = -0\.5,"):
             theta_deq_grid(np.array([1.0, -0.5, 0.3]), P_HALF)
+
+    @pytest.mark.parametrize("sw2", [0.999, 0.9999])
+    def test_newton_steps_near_contraction_limit(self, sw2):
+        # An entry stops once |du| <= 1e-8 u, where Newton's next error is
+        # about (|du| / u)^2 / 4, so no entry waits on rounding noise in the
+        # step; the most measured were 9 and 10 steps.
+        p = KernelParams(sw2, 1.0 - sw2)
+        dots = np.concatenate([1.0 - np.logspace(-16, np.log10(1.99), 2000),
+                               np.linspace(-1.0, 1.0, 200)])
+        assert max(theta_deq(d, p).iterations for d in dots) <= 10
 
     def test_finite_depth_matches_limit(self):
         dots = np.linspace(-1.0, 1.0, 19)
