@@ -14,6 +14,7 @@ untied draw can be re-drawn lazily and trials parallelize reproducibly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,12 +109,26 @@ def _injection(weights: DeqWeights, x: np.ndarray) -> np.ndarray:
 def _solve(step, start, tol, max_iter, stage):
     """Plain iteration z <- step(z) from ``start``, as ``kernel._iterate`` on
     a batch of one row.  An iterate's change is its residual ||step(z) - z||
-    / (1 + ||z||); the state is the first step(z) whose residual is <= tol."""
+    / (1 + ||z||); the state is the first step(z) whose residual is <= tol.
+
+    A diverging pass raises as soon as ||z|| or the change is not finite:
+    once ||z||^2 overflows, near |z| ~ 1e154, the change would read 0 or
+    nan.  The error reports the steps and changes before that one."""
+    changes = [np.inf, np.inf]  # as _iterate starts its last two changes
+
     def residual_step(z):
         mapped = step(z)
-        return mapped, np.array([np.linalg.norm(mapped - z) / (1.0 + np.linalg.norm(z))])
+        size = np.linalg.norm(z)
+        change = np.linalg.norm(mapped - z) / (1.0 + size)
+        if not math.isfinite(size + change):
+            raise _convergence_error(stage, "1 passes", tol, len(changes) - 2,
+                                     [(0, changes[-1], changes[-2])],
+                                     lambda k: f"the {stage}, whose iterate or change is not finite")
+        changes.append(change)
+        return mapped, np.array([change])
 
-    z, residual, iterations, misses = _iterate(start[None], residual_step, (), tol, max_iter)
+    with np.errstate(over="ignore"):  # an overflow raises just above
+        z, residual, iterations, misses = _iterate(start[None], residual_step, (), tol, max_iter)
     if misses:
         raise _convergence_error(stage, "1 passes", tol, max_iter, misses,
                                  lambda k: f"the {stage}")

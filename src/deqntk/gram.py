@@ -244,13 +244,12 @@ def regress_and_score(
                                              overwrite_a=True)
             alpha = scipy.linalg.cho_solve(factor, Y)
             break
-        except scipy.linalg.LinAlgError:
-            continue
+        except scipy.linalg.LinAlgError as exc:
+            failure = exc
     else:
-        cond = np.linalg.cond(shifted(r))
         raise np.linalg.LinAlgError(
-            f"kernel system singular even after jitter ladder "
-            f"(condition estimate {cond:.3e})"
+            f"kernel system singular: Cholesky at ridge {r:.3e} plus jitter "
+            f"{jitter:.0e} x mean diagonal, the last tried, failed: {failure}"
         )
     if jitter > 0.0:
         log.warning("kernel system factorized with jitter %.0e x mean diagonal", jitter)

@@ -14,11 +14,11 @@ which after clearing denominators is the cubic
 Everything here is in closed form on the real axis (Bai & Silverstein,
 *Spectral Analysis of Large Dimensional Random Matrices*, 2010):
 
-* For real lambda > 0 the cubic has real coefficients.  Inside the support
-  two of its roots are a conjugate pair, g is the member with Im g < 0, and
-  the density is -Im g / pi.  Outside the support all three roots are real
-  and the density is 0.  The roots of all points come from one batched
-  eigenvalue call on companion matrices.
+* Inside the support the cubic has one real root and a conjugate pair; g
+  is the pair member with Im g < 0, and the density is -Im g / pi.  The
+  pair comes from Cardano's formula for the reciprocal h = 1/g, whose
+  cubic is written out at ``_transform_root``.  Outside the support all
+  three roots are real and the density is 0.
 * The support edges are where the cubic's discriminant vanishes, which
   reduces to the quadratic 4 lambda^2 - B lambda + 4 (1-s)^3 = 0 with
   B = 27 s^2 + 36 s (1-s) + 8 (1-s)^2.  At s = 0 both edges are 1: the
@@ -34,12 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-
-#: Bound on the normalized implicit-equation residual of a selected root.
-#: Roots themselves reach ~1e-14; evaluating the residual cancels terms of
-#: size 1 down to the support width ~4 sqrt(s), which costs up to 3e-10 at
-#: s ~ 1e-12, while a wrong root misses by 1e-3 or more.
-_IMPLICIT_RESIDUAL_TOL = 1e-9
 
 #: Nested Gauss-Chebyshev rules of ``integrate_inverse_eig``: the first size,
 #: the largest size and the relative agreement of consecutive rules.
@@ -71,68 +65,45 @@ class SpectralDensitySamples:
         return np.interp(points, lam, cum / total, left=0.0, right=1.0)
 
 
-def _check_variance(sigma_w_sq: float) -> None:
-    if not 0.0 <= sigma_w_sq < 1.0:
-        raise DomainError("sigma_w_sq must lie in [0, 1)")
-
-
-def _implicit_residual(g, lam, sigma_w_sq: float):
-    """|1 - g ((1 - s g) lambda - 1/(1 - s g))|: the implicit equation
-    multiplied through by g, so that its scale is 1 whatever the size of g."""
-    d = 1.0 - sigma_w_sq * g
-    return np.abs(1.0 - g * (d * lam - 1.0 / d))
-
-
 def _transform_root(lam: np.ndarray, sigma_w_sq: float) -> np.ndarray:
-    """The Stieltjes transform g on the real axis at each lambda > 0.
+    """h = 1/g of the Stieltjes transform g at each lambda strictly inside
+    the support, the root with Im h > 0 (Im g < 0).
 
-    The roots are taken as h = 1/g, the eigenvalues of the companion
-    matrices of the monic h^3 - (lambda+s-1) h^2 + 2 s lambda h - s^2 lambda,
-    whose coefficients stay bounded as lambda -> 0 and at s = 0.  Inside the
-    support g is the pair member with Im g < 0 (Im h > 0).  Outside it g is
-    the real root of least magnitude: that root tends to 1/lambda at
-    infinity and meets the pair at the edges.  At s = 0 this gives the
-    closed form g = 1/(lambda - 1).
+    h solves the monic h^3 - (lambda+s-1) h^2 + 2 s lambda h - s^2 lambda,
+    whose coefficients stay bounded as lambda -> 0 and at s = 0.  With h = a
+    + t it is t^3 + p t + r, and inside the support its discriminant D > 0:
+    Cardano's formula gives t = A + B for the real root and -(A+B)/2 +-
+    i sqrt(3)/2 (A - B) for the pair, where A B = -p/3.  A takes the sign
+    that avoids cancellation, and D is clamped at 0 against rounding at the
+    edges, where the pair meets the real axis.  lambda - 1 is exact for
+    lambda in [0.5, 2], so a keeps its digits as s -> 0 and the support
+    shrinks around 1.
     """
     s = sigma_w_sq
-    companion = np.zeros(lam.shape + (3, 3))
-    companion[..., 0, :] = np.stack(
-        [lam + s - 1.0, -2.0 * s * lam, s * s * lam], axis=-1
-    )
-    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
-    h = np.linalg.eigvals(companion)
-    pick = np.where(
-        h.imag.max(axis=-1) > 0, h.imag.argmax(axis=-1), np.abs(h).argmax(axis=-1)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = 1.0 / np.take_along_axis(h, pick[..., None], axis=-1)[..., 0]
-        residual = _implicit_residual(g, lam, s)
-    bad = np.flatnonzero(~(residual <= _IMPLICIT_RESIDUAL_TOL))
-    if bad.size:
-        i = bad[0]
-        raise ConvergenceError(
-            f"cubic root at lambda={lam.flat[i]!r}, sigma_w_sq={s!r} misses the "
-            f"implicit equation (residual {residual.flat[i]:.3e})"
-        )
-    return g
+    a = ((lam - 1.0) + s) / 3.0
+    p = 2.0 * s * lam - 3.0 * a * a
+    r = a * (2.0 * s * lam - 2.0 * a * a) - s * s * lam
+    root_d = np.sqrt(np.maximum(r * r / 4.0 + p**3 / 27.0, 0.0))
+    A = np.cbrt(-r / 2.0 - np.copysign(root_d, r))
+    B = -p / (3.0 * A)
+    return a - (A + B) / 2.0 + 1j * (np.sqrt(3.0) / 2.0) * np.abs(A - B)
 
 
 def density(lam, sigma_w_sq: float):
     """Limiting density at ``lam``, a scalar or an array of any shape.
 
-    It is -Im g / pi of the transform root, hence 0 where all three roots
-    are real (outside the support), for lambda <= 0, and at s = 0, where
-    the distribution is a point mass with no density.
+    It is -Im g / pi = Im h / (pi |h|^2) strictly inside the support from
+    ``support_endpoints`` and 0 elsewhere; at s = 0 the support is the point
+    1, a point mass with no density.
     """
-    _check_variance(sigma_w_sq)
+    low, high = support_endpoints(sigma_w_sq)
     lam = np.asarray(lam, dtype=float)
     if not np.all(np.isfinite(lam)):
         raise DomainError("lambda must be finite")
     out = np.zeros(lam.shape)
-    positive = lam > 0
-    if sigma_w_sq > 0 and positive.any():
-        g = _transform_root(lam[positive], sigma_w_sq)
-        out[positive] = np.abs(g.imag) / np.pi
+    inside = (lam > low) & (lam < high)
+    h = _transform_root(lam[inside], sigma_w_sq)
+    out[inside] = h.imag / (np.pi * np.abs(h) ** 2)
     return out if out.ndim else float(out)
 
 
@@ -143,7 +114,8 @@ def support_endpoints(sigma_w_sq: float) -> tuple[float, float]:
     root of the edge quadratic, taken as (1-s)^3 / lambda_+ (the product of
     the roots) to avoid the cancellation in (B - sqrt(...)) / 8 as s -> 1.
     """
-    _check_variance(sigma_w_sq)
+    if not 0.0 <= sigma_w_sq < 1.0:
+        raise DomainError("sigma_w_sq must lie in [0, 1)")
     s = sigma_w_sq
     b = 27.0 * s * s + 36.0 * s * (1.0 - s) + 8.0 * (1.0 - s) ** 2
     upper = (b + math.sqrt(b * b - 64.0 * (1.0 - s) ** 3)) / 8.0
@@ -151,12 +123,10 @@ def support_endpoints(sigma_w_sq: float) -> tuple[float, float]:
 
 
 def density_table(sigma_w_sq: float, num: int = 1200) -> SpectralDensitySamples:
-    """Tabulate the density on a grid spanning the support from 1e-6 inside
-    each edge (a quarter of a narrower support); a one-point support gives a
-    one-point grid."""
+    """Tabulate the density on a grid spanning the closed support, where it
+    is 0 at both edges; a one-point support gives a one-point grid."""
     l, u = support_endpoints(sigma_w_sq)
-    offset = min(1e-6, 0.25 * (u - l))
-    lam = np.linspace(l + offset, u - offset, num if u > l else 1)
+    lam = np.linspace(l, u, num if u > l else 1)
     grid = np.column_stack([lam, density(lam, sigma_w_sq)])
     return SpectralDensitySamples(sigma_w_sq=sigma_w_sq, support=(l, u), grid=grid)
 

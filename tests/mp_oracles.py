@@ -1,9 +1,11 @@
-"""High-precision oracles for the dense kernels, in mpmath.
+"""High-precision oracles for the dense kernels and the limiting spectral
+density, in mpmath.
 
-Each takes one inner product as a float and returns the kernel value, the
-readout layer included, rounded to a float.  They follow the textbook
-formulas in the correlation, with none of the reformulations of
-``deqntk.kernel``.
+Each kernel oracle takes one inner product as a float and returns the
+kernel value, the readout layer included, rounded to a float.  They follow
+the textbook formulas in the correlation, with none of the reformulations
+of ``deqntk.kernel``.  The density oracle takes the cubic's roots from a
+general polynomial solver, not from Cardano's formula.
 """
 import pytest
 
@@ -69,3 +71,16 @@ def mp_deq(dot, p, dps=60):
             hi = s
     k0, k1 = duals(s)
     return float(mp.mpf(p.sigma_v_sq) * (k0 * s / (1 - sw2 * k0) + a * k1))
+
+
+def mp_density(lam, s, dps=50):
+    """Limiting spectral density of B^T B at ``lam`` for sigma_w_sq = ``s``:
+    Im h / (pi |h|^2) for the root h = 1/g with Im h > 0 of h^3 - (lam + s -
+    1) h^2 + 2 s lam h - s^2 lam, found by ``polyroots`` at ``dps`` digits;
+    0 where all three roots are real."""
+    mp = _mp(dps)
+    lam, s = mp.mpf(float(lam)), mp.mpf(float(s))
+    roots = mp.polyroots([1, -(lam + s - 1), 2 * s * lam, -s * s * lam],
+                         maxsteps=200, extraprec=4 * dps)
+    h = max(roots, key=mp.im)
+    return float(mp.im(h) / (mp.pi * abs(h) ** 2)) if mp.im(h) > 0 else 0.0

@@ -444,6 +444,16 @@ class TestRunner:
         assert "--sweep-depths requires --out" in result.output
         assert "theta" not in result.output
 
+    def test_diverged_forward_pass_exits_numeric(self, tmp_path):
+        # seed 0 converges at sigma_w_sq = 0.9, n = 32; seed 1 diverges
+        result = CliRunner().invoke(main, [
+            "residual", "--sw2", "0.9", "--su2", "0.1", "--widths", "32",
+            "--seeds", "4", "--out", str(tmp_path),
+        ])
+        assert result.exit_code == cli.EXIT_NUMERIC, result.output
+        assert "error: residual: forward pass: " in result.output
+        assert not (tmp_path / "residual.csv").exists()
+
     def test_list_options_recorded_as_given(self, tmp_path):
         result = CliRunner().invoke(main, [
             "residual", "--widths", "32, 64", "--seeds", "1", "--input-dim", "3",

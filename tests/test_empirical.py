@@ -245,6 +245,27 @@ class TestForward:
                 residuals[-1] / residuals[-2], rel=1e-2)
         assert "may be too large" not in message
 
+    @pytest.mark.parametrize("seed, activation, which", [
+        (1, "normalized-relu", "forward"), (2, "normalized-relu", "forward"),
+        (1, LINEAR, "adjoint"),
+    ])
+    def test_divergence_raises_naming_the_pass(self, seed, activation, which):
+        """At sigma_w_sq = 0.9 and n = 32 these draws diverge.  Once ||z||^2
+        overflows the residual reads 0 or nan, so without the finiteness
+        check the pass would be returned as converged."""
+        w = make_weights(32, 10, seed, KernelParams(0.9, 0.1, activation=activation))
+        x = unit_vec(10, 0)
+        with pytest.raises(ConvergenceError) as err:
+            if which == "forward":
+                deq_forward(w, x)
+            else:
+                _adjoint_vector(w, np.zeros(32), x)
+        message = str(err.value)
+        assert message.startswith(f"{which} pass: 1 of 1 passes still moving after ")
+        assert f"first is the {which} pass, whose iterate or change is not finite" in message
+        assert float(re.search(r"last change ([^,]+),", message).group(1)) > 1e-3
+        assert "observed contraction" in message
+
     def test_forms_no_scaled_copy_of_w(self):
         import tracemalloc
 

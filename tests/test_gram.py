@@ -260,7 +260,8 @@ class TestRegression:
     def test_frozen_kernel_unregularized_is_singular(self):
         K = np.ones((10, 10))
         labels = np.arange(10) % 10
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="2-th leading minor"):
             regress_and_score(K, K, labels, labels, 0.0)
 
     def test_frozen_kernel_regularized_is_chance(self):

@@ -10,26 +10,57 @@ from deqntk.spectra import (
     integrate_inverse_eig,
     support_endpoints,
     write_density_csv,
-    _implicit_residual,
     _transform_root,
 )
+from mp_oracles import mp_density
+
+
+def _implicit_residual(g, lam, sigma_w_sq):
+    """|1 - g ((1 - s g) lambda - 1/(1 - s g))|: the implicit equation
+    multiplied through by g, so that its scale is 1 whatever the size of g."""
+    d = 1.0 - sigma_w_sq * g
+    return np.abs(1.0 - g * (d * lam - 1.0 / d))
 
 
 class TestStieltjesRoot:
-    def test_zero_variance_closed_form(self):
-        lam = np.array([0.25, 0.5, 2.0, 7.0])
-        assert np.allclose(_transform_root(lam, 0.0), 1.0 / (lam - 1.0),
-                           rtol=1e-12, atol=0.0)
-
     @given(st.floats(0.05, 0.99), st.floats(1e-3, 1.0 - 1e-3))
     @settings(max_examples=80, deadline=None)
     def test_solves_implicit_equation(self, s, frac):
         lo, hi = support_endpoints(s)
         lam = np.array([lo + frac * (hi - lo)])
-        g = _transform_root(lam, s)
+        g = 1.0 / _transform_root(lam, s)
         assert _implicit_residual(g, lam, s)[0] <= 1e-10
         # resolvent-trace convention: inside the support Im g < 0
         assert g[0].imag < 0.0
+
+    # (edge, interior) bounds on |density - mp_density| over the largest
+    # mp_density of the points: at least twice the largest error measured
+    # over the two point sets below and two more with random interiors.
+    # Edge points lie 1e-12 to 1e-1 of the width inside either edge, where
+    # the density falls like the square root of the distance and rounding
+    # in the discriminant is amplified.
+    @pytest.mark.parametrize("s, edge_bound, interior_bound", [
+        (1e-6, 3e-11, 2e-15),
+        (0.1, 1.5e-10, 1e-15),
+        (0.5, 5e-11, 1e-15),
+        (0.9, 2e-11, 3e-16),
+        (0.999, 1e-12, 3e-18),
+    ])
+    def test_density_matches_mpmath(self, s, edge_bound, interior_bound):
+        lo, hi = support_endpoints(s)
+        width = hi - lo
+        for offsets, fracs in (
+            (np.logspace(-12, -1, 12), np.linspace(0.05, 0.95, 19)),
+            (3.0 * np.logspace(-12, -2, 11), 0.05 + 0.9 * (np.arange(18) + 0.5) / 18),
+        ):
+            edge = np.concatenate([lo + offsets * width, hi - offsets * width])
+            interior = lo + fracs * width
+            ref_edge = np.array([mp_density(x, s) for x in edge])
+            ref_interior = np.array([mp_density(x, s) for x in interior])
+            scale = max(ref_edge.max(), ref_interior.max())
+            assert np.all(ref_edge > 0.0)
+            assert np.abs(density(edge, s) - ref_edge).max() <= edge_bound * scale
+            assert np.abs(density(interior, s) - ref_interior).max() <= interior_bound * scale
 
 
 class TestDensity:
@@ -81,7 +112,7 @@ class TestDensity:
         table = density_table(0.0)
         assert table.grid.shape == (1, 2)
         assert np.array_equal(table.cdf([0.5, 1.0, 2.0]), [0.0, 1.0, 1.0])
-        # a support narrower than twice the endpoint offset keeps its order
+        # a support of width ~1e-6 keeps its order
         assert np.all(np.diff(density_table(1e-13).grid[:, 0]) > 0)
 
     def test_domain_validation(self):
@@ -98,6 +129,8 @@ class TestDensity:
 class TestTable:
     def test_cdf_monotone_and_normalized(self):
         table = density_table(0.5, num=400)
+        assert (table.grid[0, 0], table.grid[-1, 0]) == table.support
+        assert table.grid[0, 1] == table.grid[-1, 1] == 0.0
         pts = np.linspace(*table.support, 50)
         cdf = table.cdf(pts)
         assert np.all(np.diff(cdf) >= -1e-12)
