@@ -17,6 +17,11 @@ time, enough to re-run it bit-identically.
 
 Errors print as ``error: <command>: <message>``.  Exit codes: 0 success,
 2 configuration error, 3 data error, 4 numerical failure.
+
+Importing this module loads no scipy.  ``regress`` and ``depth-sweep``
+import scipy.linalg before they read data, and this module imports
+numpy.random: a module first imported amid a command's freed arrays keeps
+~30 MiB of them resident in a process that runs several commands.
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+import numpy.random  # noqa: F401  (see the module docstring)
 
 from . import __version__
 from .data import UNIT_PIXEL, load_cifar10, load_mnist
@@ -251,6 +257,7 @@ def depth_sweep_cmd(params, data, n_train, n_test, depths, reps, reg_eps, seed):
         activation=params.activation,
     )
     depth_list = _parse_int_list(depths)
+    import scipy.linalg  # noqa: F401  (see the module docstring)
     ds = load_cifar10(data)
     rows = depth_sweep(ds.features, ds.labels, depth_list, params,
                        params_vanilla, reps, n_train, n_test,
@@ -325,9 +332,9 @@ def trace(n, sw2, trials, seed):
 @click.option("--seed", type=int, default=0)
 def spectrum(sw2, n, seed):
     """Empirical vs limiting eigenvalue distributions (two CSV tables)."""
+    table = density_table(sw2)  # rejects sw2 outside [0, 1) before W is drawn
     params = KernelParams(sigma_w_sq=sw2, sigma_u_sq=1.0 - sw2)
     eigs = empirical_spectrum(make_weights(n, 1, seed, params))
-    table = density_table(sw2)
     emp_cdf_at = np.searchsorted(eigs, eigs, side="right") / n
     sup_dist = float(np.max(np.abs(emp_cdf_at - table.cdf(eigs))))
     click.echo(f"CDF sup-distance = {sup_dist:.4f}")
@@ -347,6 +354,7 @@ def spectrum(sw2, n, seed):
 @click.option("--seed", type=int, default=0)
 def regress(params, dataset, path, n_train, n_test, reg_eps, seed):
     """Fixed-point kernel regression accuracy on a dataset subset."""
+    import scipy.linalg  # noqa: F401  (see the module docstring)
     ds = load_mnist(path) if dataset == "mnist" else load_cifar10(path)
     tr, te = _split(np.random.default_rng(seed), ds.features.shape[0], n_train, n_test)
     G = assemble_gram(ds.features[tr], DEQ_NTK, params)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularityError
 from .kernel import _convergence_error, _iterate
@@ -198,6 +197,8 @@ def _shifted_identity(W: np.ndarray, sigma_w_sq: float, out=None) -> np.ndarray:
 def _gram_upper(B: np.ndarray) -> np.ndarray:
     """B^T B by ``dsyrk``: the upper triangle of a Fortran-ordered array.
     B^T of a C-ordered B is Fortran-ordered, so BLAS reads B in place."""
+    import scipy.linalg  # each LAPACK caller loads it on first use, off the CLI's start-up
+
     return scipy.linalg.blas.dsyrk(1.0, B.T, trans=0, lower=0)
 
 
@@ -209,6 +210,8 @@ def _inverse_frobenius_sq(B: np.ndarray) -> float:
     condition estimate exceeds ``_MAX_FACTOR_COND`` (the squared condition
     number would cost accuracy), raises ``SingularityError``.
     """
+    import scipy.linalg
+
     R, info = scipy.linalg.lapack.dpotrf(
         _gram_upper(B), lower=0, clean=1, overwrite_a=1
     )
@@ -238,6 +241,8 @@ def resolvent_trace(n: int, sigma_w_sq: float, seed: int) -> float:
 
 def empirical_spectrum(weights: DeqWeights) -> np.ndarray:
     """Ascending eigenvalues of B^T B, B = I - sqrt(sigma_w_sq/n) W."""
+    import scipy.linalg
+
     B = _shifted_identity(weights.W, weights.params.sigma_w_sq)
     return scipy.linalg.eigvalsh(
         _gram_upper(B), lower=False, overwrite_a=True, check_finite=False

@@ -1,6 +1,8 @@
 import gzip
+import os
 import struct
 import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -277,6 +279,17 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "CDF sup-distance = 0.0000" in result.output
 
+    def test_spectrum_checks_sw2_before_drawing(self, tmp_path, monkeypatch):
+        def unreachable(weights):
+            raise AssertionError("the spectrum was computed before sw2 was checked")
+
+        monkeypatch.setattr(cli, "empirical_spectrum", unreachable)
+        result = CliRunner().invoke(
+            main, ["spectrum", "--sw2", "1.0", "--n", "2500", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert "sigma_w_sq must lie in [0, 1)" in result.output
+
     def test_regress_on_synthetic_mnist(self, tmp_path):
         write_idx(tmp_path, n=30)
         result = CliRunner().invoke(
@@ -453,6 +466,49 @@ class TestRunner:
         assert result.exit_code == cli.EXIT_NUMERIC, result.output
         assert "error: residual: forward pass: " in result.output
         assert not (tmp_path / "residual.csv").exists()
+
+    def test_scipy_linalg_loads_only_where_lapack_runs(self, tmp_path):
+        """In a fresh interpreter, importing the package and running the
+        commands that call no LAPACK routine leave scipy.linalg unloaded; the
+        LAPACK callers load it when they run."""
+        script = f"""
+import sys
+from click.testing import CliRunner
+
+def unloaded(step):
+    assert "scipy.linalg" not in sys.modules, f"scipy.linalg loaded by {{step}}"
+
+import deqntk.cli
+from deqntk import gram, empirical, spectra, conv
+unloaded("import")
+for args, code in [
+    (["kernel", "--dot", "0.3"], 0),
+    (["cdeq", "--size", "4", "--images", "3"], 0),
+    (["residual", "--sw2", "0.3", "--su2", "0.7", "--widths", "16", "--seeds", "1",
+      "--out", {str(tmp_path / "residual")!r}], 0),
+    (["--help"], 0),
+    (["--version"], 0),
+    (["trace", "--n", "0"], 2),
+    (["spectrum", "--sw2", "1.0", "--out", {str(tmp_path / "spectrum")!r}], 2),
+]:
+    result = CliRunner().invoke(deqntk.cli.main, args)
+    assert result.exit_code == code, (args, result.output)
+    unloaded(args)
+
+import numpy as np
+from deqntk import KernelParams
+result = CliRunner().invoke(deqntk.cli.main, ["trace", "--n", "20", "--trials", "2"])
+assert result.exit_code == 0, result.output
+assert gram.regress_and_score(np.eye(10), np.eye(10), range(10), range(10), 0.0) == 1.0
+weights = empirical.make_weights(20, 1, 0, KernelParams(0.25, 0.75))
+assert empirical.empirical_spectrum(weights).shape == (20,)
+assert "scipy.linalg" in sys.modules
+"""
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_list_options_recorded_as_given(self, tmp_path):
         result = CliRunner().invoke(main, [

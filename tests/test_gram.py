@@ -289,6 +289,26 @@ class TestRegression:
         b = regress_and_score(Gp, Gp, labels[perm], labels[perm], 1e-4)
         assert a == b
 
+    def test_reads_the_lower_triangle(self, monkeypatch):
+        # alpha is bit-identical to a factorization of a Fortran-ordered copy
+        # of K, and finite junk above the diagonal changes nothing
+        X = unit_rows(40, 15, seed=7)
+        labels = np.arange(40) % 10
+        K = assemble_gram(X, DEQ_NTK, P).values
+        assert np.array_equal(K, K.T)
+        alphas, cho_solve = [], scipy.linalg.cho_solve
+        monkeypatch.setattr(scipy.linalg, "cho_solve",
+                            lambda *args, **kw: alphas.append(cho_solve(*args, **kw)) or alphas[-1])
+        acc = regress_and_score(K, K, labels, labels, 1e-4)
+        junk = K.copy()
+        junk[np.triu_indices(40, 1)] = np.random.default_rng(0).uniform(-1e3, 1e3, 780)
+        assert regress_and_score(junk, K, labels, labels, 1e-4) == acc
+        M = np.array(K, order="F")
+        M.flat[::41] += 1e-4 * np.trace(K) / 40 / 40
+        alpha = cho_solve(scipy.linalg.cho_factor(M), encode_labels(labels, 10))
+        assert len(alphas) == 2
+        assert all(np.array_equal(a, alpha) for a in alphas)
+
     def test_negative_reg_rejected(self):
         with pytest.raises(ValueError):
             regress_and_score(np.eye(3), np.eye(3), [0, 1, 2], [0, 1, 2], -1.0)
