@@ -17,11 +17,6 @@ time, enough to re-run it bit-identically.
 
 Errors print as ``error: <command>: <message>``.  Exit codes: 0 success,
 2 configuration error, 3 data error, 4 numerical failure.
-
-Importing this module loads no scipy.  ``regress`` and ``depth-sweep``
-import scipy.linalg before they read data, and this module imports
-numpy.random: a module first imported amid a command's freed arrays keeps
-~30 MiB of them resident in a process that runs several commands.
 """
 from __future__ import annotations
 
@@ -32,7 +27,6 @@ from pathlib import Path
 
 import click
 import numpy as np
-import numpy.random  # noqa: F401  (see the module docstring)
 
 from . import __version__
 from .data import UNIT_PIXEL, load_cifar10, load_mnist
@@ -257,7 +251,6 @@ def depth_sweep_cmd(params, data, n_train, n_test, depths, reps, reg_eps, seed):
         activation=params.activation,
     )
     depth_list = _parse_int_list(depths)
-    import scipy.linalg  # noqa: F401  (see the module docstring)
     ds = load_cifar10(data)
     rows = depth_sweep(ds.features, ds.labels, depth_list, params,
                        params_vanilla, reps, n_train, n_test,
@@ -354,14 +347,15 @@ def spectrum(sw2, n, seed):
 @click.option("--seed", type=int, default=0)
 def regress(params, dataset, path, n_train, n_test, reg_eps, seed):
     """Fixed-point kernel regression accuracy on a dataset subset."""
-    import scipy.linalg  # noqa: F401  (see the module docstring)
     ds = load_mnist(path) if dataset == "mnist" else load_cifar10(path)
     tr, te = _split(np.random.default_rng(seed), ds.features.shape[0], n_train, n_test)
     G = assemble_gram(ds.features[tr], DEQ_NTK, params)
     C = cross_gram(ds.features[te], ds.features[tr], DEQ_NTK, params)
-    acc = regress_and_score(G.values, C, ds.labels[tr], ds.labels[te], reg_eps)
+    labels, source = ds.labels, ds.source
+    del ds  # the samples need not stay resident beside the solve's two Grams
+    acc = regress_and_score(G.values, C, labels[tr], labels[te], reg_eps)
     click.echo(f"accuracy = {acc:.4f}")
-    return {"regress.csv": _csv([{"accuracy": acc}], ["accuracy"])}, {"data": ds.source}
+    return {"regress.csv": _csv([{"accuracy": acc}], ["accuracy"])}, {"data": source}
 
 
 @command(kernel=(0.65, 0.35))

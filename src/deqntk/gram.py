@@ -235,8 +235,7 @@ def regress_and_score(
     Y = encode_labels(train_labels, num_classes)
 
     def shifted(c):
-        """K + cI as a fresh Fortran-ordered copy of K^T (a straight copy of a
-        C-ordered K), which LAPACK factors in place from its upper triangle."""
+        """K + cI as a fresh Fortran copy of K^T, which LAPACK factors in place."""
         M = np.array(K.T, order="F")
         M.flat[:: n + 1] += c
         return M

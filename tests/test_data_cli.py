@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,26 @@ class TestCli:
             ],
         )
         assert result.exit_code == 0
+        assert "accuracy =" in result.output
+
+    def test_regress_releases_the_samples_before_the_solve(self, tmp_path, monkeypatch):
+        write_idx(tmp_path, n=30)
+        features, solve = [], cli.regress_and_score
+
+        def load(path):
+            ds = load_mnist(path)
+            features.append(weakref.ref(ds.features))
+            return ds
+
+        def released_then_solve(*args):
+            assert features[0]() is None, "the samples are still resident"
+            return solve(*args)
+
+        monkeypatch.setattr(cli, "load_mnist", load)
+        monkeypatch.setattr(cli, "regress_and_score", released_then_solve)
+        result = CliRunner().invoke(main, ["regress", "--path", str(tmp_path),
+                                           "--n-train", "20", "--n-test", "10"])
+        assert result.exit_code == 0, result.output
         assert "accuracy =" in result.output
 
     @pytest.mark.parametrize("sizes", [["--n-train", "45", "--n-test", "10"],
