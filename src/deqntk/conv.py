@@ -40,15 +40,10 @@ from .kernel import (
 from .params import KernelParams
 
 _PSD_TOL = 1e-8
-#: Defaults: the covariance stops once a step moves it by at most _SIGMA_TOL,
-#: within _SIGMA_MAX_ITER steps; the kernel once the bound on its trace's
-#: error is at most _THETA_TOL.
-_SIGMA_TOL = 1e-6
-_SIGMA_MAX_ITER = 30
-_THETA_TOL = 1e-8
-#: Step budget of the kernel fixed point, which contracts by at most
-#: sigma_w_sq per step.
-_THETA_MAX_ITER = 10_000
+#: Defaults of both fixed points: the accuracy target, relative to the
+#: diagonal (see ``_cdeq_pairs``), and the step budget of each.
+_TOL = 1e-7
+_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -155,32 +150,39 @@ def _max_change(new, old):
     return np.abs(new - old).reshape(len(new), -1).max(axis=1)
 
 
+def _covariance_gain(params: KernelParams) -> float:
+    """Times a step's max change, a bound on the covariance's error relative
+    to d*: the map contracts by sigma_w_sq in the max norm (criterion 12)."""
+    return params.sigma_w_sq / ((1.0 - params.sigma_w_sq) * _diag_fixed_point(params))
+
+
 def cdeq_sigma_fixed_point(
     x: np.ndarray,
     y: np.ndarray,
     q: int,
     params: KernelParams,
-    tol: float = _SIGMA_TOL,
-    max_iter: int = _SIGMA_MAX_ITER,
+    tol: float = _TOL,
+    max_iter: int = _MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Iterate the (x, y) covariance tensor to its fixed point; returns the
     limiting (K*, Kdot*).
 
     The tensor starts at d* times the window average of the pixel inner
-    products and stops when it moves by at most ``tol`` in the entrywise
-    max norm.  For a self pair the (i, j, i, j) entries are d* itself;
-    pinning them keeps their correlation exactly 1 at the arccos cusp.
+    products and stops, within ``max_iter`` steps, once the bound on its
+    error relative to d* is at most ``tol``.  For a self pair the (i, j, i,
+    j) entries are d* itself; pinning them keeps their correlation exactly
+    1 at the arccos cusp.
     """
     _check_domain(params, x, y)
     norm = build_normalizer(x.shape[0], x.shape[1], q)
-    d = _diag_fixed_point(params)
+    d, gain = _diag_fixed_point(params), _covariance_gain(params)
     self_pair = np.array_equal(x, y)
 
     def step(sigma, K0):
         new = _sigma_update(cdeq_k_step(sigma[0], K0[0], params)[0], norm)
         if self_pair:
             np.einsum("ijij->ij", new)[...] = d
-        return new[None], _max_change(new[None], sigma)
+        return new[None], gain * _max_change(new[None], sigma)
 
     K0 = pixel_inner_tensor(x, y)
     sigma, _, _, missed = _iterate(
@@ -193,28 +195,31 @@ def cdeq_sigma_fixed_point(
 
 
 def _cdeq_pairs(X, Y, rows, cols, q: int, params: KernelParams,
-                sigma_tol=_SIGMA_TOL, theta_tol=_THETA_TOL, max_iter=_SIGMA_MAX_ITER):
+                sigma_tol=_TOL, max_iter=_MAX_ITER):
     """Kernel values of the image pairs (X[rows[k]], Y[cols[k]]).
 
     Runs the covariance and kernel fixed points on offset-0 slices, walking
     the pairs in blocks of about ``_BLOCK`` entries.  A self pair (equal
-    images) takes its closed form.  Each other pair stops on its own slice:
-    the covariance when its max change is <= ``sigma_tol``, the kernel when
-    the bound on its trace's error is <= ``theta_tol``.  A value therefore
-    equals the one computed on a batch of one.
+    images) takes its closed form P * Q * d* / (1 - sigma_w_sq), the Gram's
+    diagonal, which bounds every entry.  Each other pair stops each stage on
+    its own slice, within ``max_iter`` steps, once the bound on the stage's
+    error relative to that diagonal is at most ``sigma_tol``, so a value
+    equals the one computed on a batch of one.  The covariance's error also
+    reaches the kernel through Kdot, whose cusp at correlation 1 no bound
+    covers: a value's error is measured, not proven (``scripts/conv_tol.py``).
     """
     _check_domain(params, X, Y)
     rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
     P, Q = X.shape[1], X.shape[2]
     counts = build_normalizer(P, Q, q).s ** 2
-    d = _diag_fixed_point(params)
+    d, sw2, sigma_gain = _diag_fixed_point(params), params.sigma_w_sq, _covariance_gain(params)
 
     def average(M):
         return _box_sum(M, q, (1,), (2,)) / counts
 
     def sigma_step(sigma, K0):
         new = average(cdeq_k_step(sigma, K0, params)[0])
-        return new, _max_change(new, sigma)
+        return new, sigma_gain * _max_change(new, sigma)
 
     def theta_step(theta, Kdot, Kstar, gain):
         new = Kdot * average(theta) + Kstar
@@ -228,7 +233,7 @@ def _cdeq_pairs(X, Y, rows, cols, q: int, params: KernelParams,
         # A self pair's slice is d* at every step, where Kdot = sigma_w_sq
         # and K = d*, so its kernel tensor is d* / (1 - sigma_w_sq) there.
         same = np.all(x == y, axis=(1, 2, 3))
-        values[lo : lo + len(x)][same] = P * Q * d / (1.0 - params.sigma_w_sq)
+        values[lo : lo + len(x)][same] = P * Q * d / (1.0 - sw2)
         pairs = lo + np.flatnonzero(~same)
         if not pairs.size:
             continue
@@ -244,20 +249,20 @@ def _cdeq_pairs(X, Y, rows, cols, q: int, params: KernelParams,
         _, Kdot = cdeq_k_step(sigma, K0, params)
         # The kernel map contracts by L = max Kdot in the max norm (the box
         # average does not expand it), so P*Q*L/(1 - L) times a step's max
-        # change bounds the error of the trace.
+        # change bounds the error of the trace; divided by the diagonal,
+        # P*Q cancels.
         L = Kdot.reshape(len(x), -1).max(axis=1)
         theta, _, _, missed = _iterate(
-            sigma, theta_step, (Kdot, sigma, P * Q * L / (1.0 - L)), theta_tol,
-            _THETA_MAX_ITER,
+            sigma, theta_step, (Kdot, sigma, L * (1.0 - sw2) / ((1.0 - L) * d)),
+            sigma_tol, max_iter,
         )
         misses["kernel"] += [(pairs[k], *rest) for k, *rest in missed]
         # fsum rounds each trace once, whatever the batch and its layout
         values[pairs] = [math.fsum(t) for t in theta.reshape(len(x), -1).tolist()]
-    for stage, tol, budget in (("covariance", sigma_tol, max_iter),
-                               ("kernel", theta_tol, _THETA_MAX_ITER)):
+    for stage in ("covariance", "kernel"):
         if misses[stage]:
             raise _convergence_error(
-                f"{stage} fixed point", f"{rows.size} image pairs", tol, budget,
+                f"{stage} fixed point", f"{rows.size} image pairs", sigma_tol, max_iter,
                 misses[stage], lambda k: f"images ({rows[k]}, {cols[k]})")
     return values
 
@@ -267,20 +272,13 @@ def cdeq_kernel_pair(
     y: np.ndarray,
     q: int,
     params: KernelParams,
-    sigma_tol: float = _SIGMA_TOL,
-    theta_tol: float = _THETA_TOL,
-    max_iter: int = _SIGMA_MAX_ITER,
+    sigma_tol: float = _TOL,
+    max_iter: int = _MAX_ITER,
 ) -> float:
     """Scalar convolutional kernel value for one image pair: the batched
-    slice solver on a batch of one.
-
-    The covariance iteration stops when the pair's offset-0 slice moves by
-    at most ``sigma_tol`` within ``max_iter`` steps; the kernel iteration
-    stops when the bound on the kernel value's error is at most
-    ``theta_tol``.
-    """
+    slice solver ``_cdeq_pairs``, with its target and budget, on a batch of
+    one."""
     zero = np.zeros(1, dtype=int)
     return float(
-        _cdeq_pairs(x[None], y[None], zero, zero, q, params, sigma_tol,
-                    theta_tol, max_iter)[0]
+        _cdeq_pairs(x[None], y[None], zero, zero, q, params, sigma_tol, max_iter)[0]
     )

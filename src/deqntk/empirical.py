@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import DomainError, SingularityError
 from .kernel import _convergence_error, _iterate
 from .params import LINEAR, KernelParams
 
@@ -234,7 +234,10 @@ def _inverse_frobenius_sq(B: np.ndarray) -> float:
 
 
 def resolvent_trace(n: int, sigma_w_sq: float, seed: int) -> float:
-    """(1/n) tr(H^T H) = (1/n) ||B^{-1}||_F^2 for one seeded draw of W."""
+    """(1/n) tr(H^T H) = (1/n) ||B^{-1}||_F^2 for one seeded draw of W;
+    sigma_w_sq must lie in [0, 1), where the limit is invertible."""
+    if not 0.0 <= sigma_w_sq < 1.0:
+        raise DomainError(f"sigma_w_sq={sigma_w_sq} must lie in [0, 1) for an invertible limit")
     W = _stream(seed, "W").standard_normal((n, n))
     return _inverse_frobenius_sq(_shifted_identity(W, sigma_w_sq, out=W)) / n
 

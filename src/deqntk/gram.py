@@ -226,8 +226,8 @@ def regress_and_score(
     """
     import scipy.linalg  # loaded on first use: it costs the CLI's start-up ~0.25 s
 
-    if reg_eps < 0:
-        raise ValueError("reg_eps must be nonnegative")
+    if not 0.0 <= reg_eps < np.inf:
+        raise ValueError(f"reg_eps={reg_eps} must be a finite number >= 0")
     K = np.asarray(train_gram, dtype=float)
     n = K.shape[0]
     mean_diag = float(np.trace(K)) / n

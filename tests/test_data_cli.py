@@ -255,6 +255,12 @@ class TestCli:
         assert result.exit_code == 0
         assert "target 1.333333" in result.output
 
+    def test_trace_rejects_sw2_at_one(self):
+        # the library's own domain check, before any W is drawn
+        result = CliRunner().invoke(main, ["trace", "--n", "200", "--sw2", "1.0"])
+        assert result.exit_code == EXIT_CONFIG
+        assert "sigma_w_sq=1.0 must lie in [0, 1)" in result.output
+
     def test_spectrum_artifacts_and_manifest(self, tmp_path):
         out = tmp_path / "spectrum"
         result = CliRunner().invoke(

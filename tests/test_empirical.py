@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from deqntk import (
     ConvergenceError,
+    DomainError,
     KernelParams,
     LINEAR,
     SingularityError,
     theta_linear_deq,
 )
+from deqntk import empirical
 from deqntk.empirical import (
     DeqWeights,
     EmpiricalNtkBreakdown,
@@ -450,6 +452,15 @@ class TestLinearResolvent:
         eye = dataclasses.replace(w, W=np.sqrt(n / P_LIN.sigma_w_sq) * np.eye(n))
         with pytest.raises(SingularityError):
             linear_resolvent_stats(eye, unit_vec(2, 0), unit_vec(2, 1))
+
+    @pytest.mark.parametrize("sw2", [1.0, 1.5, -0.2])
+    def test_trace_rejects_sw2_before_drawing(self, sw2, monkeypatch):
+        def fail(*args):
+            raise AssertionError("W drawn")
+
+        monkeypatch.setattr(empirical, "_stream", fail)
+        with pytest.raises(DomainError, match="sigma_w_sq"):
+            resolvent_trace(200, sw2, 0)
 
     def test_trace_near_limit(self):
         vals = [resolvent_trace(400, 0.125, seed) for seed in range(5)]

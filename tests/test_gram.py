@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 import tracemalloc
@@ -19,7 +20,7 @@ from deqntk import (
     theta_deq_grid,
     theta_linear_deq,
 )
-from deqntk import gram
+from deqntk import conv, gram
 from deqntk.conv import cdeq_kernel_pair
 from deqntk.gram import (
     CDEQ_NTK,
@@ -187,9 +188,10 @@ class TestAssembly:
         G = assemble_gram(imgs, CDEQ_NTK, P, filter_size=3).values
         assert np.array_equal(cross_gram(imgs, imgs, CDEQ_NTK, P, filter_size=3), G)
 
-    def test_cdeq_budget_names_stage_and_pair(self):
-        # a linear map at sigma_w_sq = 0.99 contracts too slowly for the
-        # 30-step covariance budget; self pairs take their closed form
+    def test_cdeq_budget_names_stage_and_pair(self, monkeypatch):
+        # a linear map at sigma_w_sq = 0.99 contracts too slowly for a 30-step
+        # budget; self pairs take their closed form
+        monkeypatch.setattr(gram, "_cdeq_pairs", functools.partial(conv._cdeq_pairs, max_iter=30))
         p = KernelParams(sigma_w_sq=0.99, sigma_u_sq=0.01, activation="linear")
         imgs = unit_images(3, 4, 4, 2, seed=6)
         with pytest.raises(ConvergenceError) as info:
@@ -310,8 +312,10 @@ class TestRegression:
         assert all(np.array_equal(a, alpha) for a in alphas)
 
     def test_negative_reg_rejected(self):
-        with pytest.raises(ValueError):
-            regress_and_score(np.eye(3), np.eye(3), [0, 1, 2], [0, 1, 2], -1.0)
+        # the rule of the CLI's --reg-eps: a finite number >= 0
+        for reg_eps in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="reg_eps"):
+                regress_and_score(np.eye(3), np.eye(3), [0, 1, 2], [0, 1, 2], reg_eps)
 
     def test_jitter_step_is_logged(self, caplog):
         # The ridge 1e-30 leaves the all-ones Gram singular; the ladder's

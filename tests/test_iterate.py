@@ -4,12 +4,13 @@ the covariance, both convolutional stages and the finite-width forward and
 adjoint passes.  Each message is checked against an independent iteration
 of the same map: closed-form dual activations, full P x Q x P x Q tensors
 or explicit matrices."""
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from deqntk import ConvergenceError, KernelParams, dual_activation, dual_activation_dot
+from deqntk import LINEAR, ConvergenceError, KernelParams, dual_activation, dual_activation_dot
 from deqntk import conv, kernel
 from deqntk.conv import (
     build_normalizer,
@@ -27,7 +28,9 @@ MESSAGE = re.compile(
     r"(?P<budget>\d+) iterations at tol=(?P<tol>\S+); first is (?P<first>.+), "
     r"last change (?P<change>[^,]+)(, observed contraction (?P<rate>\S+))?$"
 )
-P_CONV = KernelParams(sigma_w_sq=0.5, sigma_u_sq=0.5)
+P_NEWTON = KernelParams(sigma_w_sq=0.5, sigma_u_sq=0.5)
+# d* = 0.5, so that the stops' gains relative to d* are not 1
+P_CONV = KernelParams(sigma_w_sq=0.6, sigma_u_sq=0.2)
 P_DEQ = KernelParams(sigma_w_sq=0.125, sigma_u_sq=0.875, sigma_v_sq=2.0)
 
 
@@ -44,7 +47,7 @@ def changes_of(step, state, budget):
 def newton_case(budget, monkeypatch):
     """Newton on F(u) = (1 - sw2) u - su2 (1 - x.y) + sw2 (k1 - rho) at a = 1."""
     monkeypatch.setattr(kernel, "_MAX_NEWTON_ITER", budget)
-    sw2, su2, x = P_CONV.sigma_w_sq, P_CONV.sigma_u_sq, -0.5
+    sw2, su2, x = P_NEWTON.sigma_w_sq, P_NEWTON.sigma_u_sq, -0.5
 
     def step(u):
         rho = 1.0 - u
@@ -52,7 +55,7 @@ def newton_case(budget, monkeypatch):
         du = f / (1.0 - sw2 * dual_activation_dot(rho))
         return u - du, abs(du) / (u - du)
 
-    return (lambda: kernel.theta_deq_grid(np.array([x]), P_CONV), "covariance Newton",
+    return (lambda: kernel.theta_deq_grid(np.array([x]), P_NEWTON), "covariance Newton",
             kernel._STEP_TOL, "1 of 1 dots", "x.y = -0.5",
             changes_of(step, su2 * (1.0 - x) / (1.0 - sw2), budget))
 
@@ -63,24 +66,26 @@ def conv_images():
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-def covariance_map(x, y, q):
+def covariance_map(x, y, q, params):
     """(first covariance tensor, one covariance step) on full tensors."""
     norm = build_normalizer(x.shape[0], x.shape[1], q)
     ss = norm.s[:, :, None, None] * norm.s[None, None, :, :]
     K0 = pixel_inner_tensor(x, y)
-    d = kernel._diag_fixed_point(P_CONV)
+    d = kernel._diag_fixed_point(params)
     return (d * patch_trace(K0, q) / ss,
-            lambda S: patch_trace(cdeq_k_step(S, K0, P_CONV)[0], q) / ss)
+            lambda S: patch_trace(cdeq_k_step(S, K0, params)[0], q) / ss)
 
 
 def covariance_case(budget, monkeypatch):
-    """The full-tensor covariance, whose change is the max over the tensor."""
+    """The full-tensor covariance, whose change is the bound sw2 / ((1 - sw2)
+    d*) times the max change over the tensor."""
     x, y = conv_images()[:2]
-    start, update = covariance_map(x, y, 3)
+    start, update = covariance_map(x, y, 3, P_CONV)
+    sw2, d = P_CONV.sigma_w_sq, kernel._diag_fixed_point(P_CONV)
 
     def step(S):
         new = update(S)
-        return new, np.abs(new - S).max()
+        return new, sw2 / ((1.0 - sw2) * d) * np.abs(new - S).max()
 
     return (lambda: cdeq_sigma_fixed_point(x, y, 3, P_CONV, tol=1e-12, max_iter=budget),
             "covariance fixed point", 1e-12, "1 of 1 image pairs", "images (0, 0)",
@@ -89,26 +94,26 @@ def covariance_case(budget, monkeypatch):
 
 def kernel_case(budget, monkeypatch):
     """The slice kernel stage of pair (1, 2), whose change is the bound
-    P Q L / (1 - L) times the max change of the offset-0 slice."""
-    monkeypatch.setattr(conv, "_THETA_MAX_ITER", budget)
-    imgs = conv_images()
-    start, update = covariance_map(imgs[1], imgs[2], 3)
-    S = start  # the slice solver's covariance stop, read on the diagonal
-    for _ in range(conv._SIGMA_MAX_ITER):
-        S, before = update(S), S
-        if np.abs(_tensor_diag(S) - _tensor_diag(before)).max() <= conv._SIGMA_TOL:
-            break
-    Kdot = cdeq_k_step(S, pixel_inner_tensor(imgs[1], imgs[2]), P_CONV)[1]
-    L = _tensor_diag(Kdot).max()
+    L (1 - sw2) / ((1 - L) d*) times the max change of the offset-0 slice.
+    Each image repeats one pixel vector and the activation is linear, so
+    the covariance is fixed from the start and stops at step 1 of the one
+    budget."""
+    params = dataclasses.replace(P_CONV, activation=LINEAR)
+    pixels = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    imgs = np.repeat(np.repeat(pixels[:, None, None], 5, axis=1), 4, axis=2)
+    S, _ = covariance_map(imgs[1], imgs[2], 3, params)
+    Kdot = cdeq_k_step(S, pixel_inner_tensor(imgs[1], imgs[2]), params)[1]
+    L, sw2, d = _tensor_diag(Kdot).max(), params.sigma_w_sq, kernel._diag_fixed_point(params)
     ss = build_normalizer(5, 4, 3).s
     ss = ss[:, :, None, None] * ss[None, None, :, :]
 
     def step(T):
         new = Kdot * patch_trace(T, 3) / ss + S
-        return new, 5 * 4 * L / (1.0 - L) * np.abs(_tensor_diag(new) - _tensor_diag(T)).max()
+        change = np.abs(_tensor_diag(new) - _tensor_diag(T)).max()
+        return new, L * (1.0 - sw2) / ((1.0 - L) * d) * change
 
-    return (lambda: _cdeq_pairs(imgs, imgs, [1], [2], 3, P_CONV), "kernel fixed point",
-            conv._THETA_TOL, "1 of 1 image pairs", "images (1, 2)",
+    return (lambda: _cdeq_pairs(imgs, imgs, [1], [2], 3, params, max_iter=budget),
+            "kernel fixed point", conv._TOL, "1 of 1 image pairs", "images (1, 2)",
             changes_of(step, S, budget))
 
 
