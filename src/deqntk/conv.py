@@ -24,7 +24,8 @@ The full-tensor path (`pixel_inner_tensor`, `patch_trace`,
 criteria inspect full tensors, and the tests use it as the reference for
 the slice solver.  Both paths sum windows by separable shifted adds in
 `_box_sum` and iterate in `kernel._iterate`, the package's one fixed-point
-loop.
+loop, which raises a stage's `ConvergenceError`: `_cdeq_pairs` raises from
+the first block of pairs that stalls, with that block's count.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 from .kernel import (
-    _BLOCK, _check_unit, _convergence_error, _diag_fixed_point, _duals_at, _iterate,
+    _BLOCK, _check_unit, _diag_fixed_point, _duals_at, _iterate,
 )
 from .params import KernelParams
 
@@ -185,12 +186,8 @@ def cdeq_sigma_fixed_point(
         return new[None], gain * _max_change(new[None], sigma)
 
     K0 = pixel_inner_tensor(x, y)
-    sigma, _, _, missed = _iterate(
-        d * _sigma_update(K0, norm)[None], step, (K0[None],), tol, max_iter
-    )
-    if missed:
-        raise _convergence_error("covariance fixed point", "1 image pairs", tol, max_iter,
-                                 missed, lambda k: "images (0, 0)")
+    sigma, _, _ = _iterate(d * _sigma_update(K0, norm)[None], step, (K0[None],), tol, max_iter,
+                           "covariance fixed point", "1 image pairs", lambda k: "images (0, 0)")
     return sigma[0], cdeq_k_step(sigma[0], K0, params)[1]
 
 
@@ -225,8 +222,10 @@ def _cdeq_pairs(X, Y, rows, cols, q: int, params: KernelParams,
         new = Kdot * average(theta) + Kstar
         return new, gain * _max_change(new, theta)
 
+    def name(k):  # the k-th iterated pair of the current block
+        return f"images ({rows[pairs[k]]}, {cols[pairs[k]]})"
+
     values = np.empty(rows.size)
-    misses = {"covariance": [], "kernel": []}
     per_block = max(1, _BLOCK // (P * Q))
     for lo in range(0, rows.size, per_block):
         x, y = X[rows[lo : lo + per_block]], Y[cols[lo : lo + per_block]]
@@ -237,33 +236,24 @@ def _cdeq_pairs(X, Y, rows, cols, q: int, params: KernelParams,
         pairs = lo + np.flatnonzero(~same)
         if not pairs.size:
             continue
+        block = f"{len(x)} image pairs"
         x, y = x[~same], y[~same]
         # channel by channel, so that no layout changes the order of the sum
         K0 = sum(x[..., c] * y[..., c] for c in range(x.shape[-1]))
-        sigma, _, _, missed = _iterate(
-            d * average(K0), sigma_step, (K0,), sigma_tol, max_iter
-        )
-        misses["covariance"] += [(pairs[k], *rest) for k, *rest in missed]
-        if misses["covariance"]:
-            continue  # no value is returned; count the rest of the misses
+        sigma, _, _ = _iterate(d * average(K0), sigma_step, (K0,), sigma_tol, max_iter,
+                               "covariance fixed point", block, name)
         _, Kdot = cdeq_k_step(sigma, K0, params)
         # The kernel map contracts by L = max Kdot in the max norm (the box
         # average does not expand it), so P*Q*L/(1 - L) times a step's max
         # change bounds the error of the trace; divided by the diagonal,
         # P*Q cancels.
         L = Kdot.reshape(len(x), -1).max(axis=1)
-        theta, _, _, missed = _iterate(
+        theta, _, _ = _iterate(
             sigma, theta_step, (Kdot, sigma, L * (1.0 - sw2) / ((1.0 - L) * d)),
-            sigma_tol, max_iter,
+            sigma_tol, max_iter, "kernel fixed point", block, name,
         )
-        misses["kernel"] += [(pairs[k], *rest) for k, *rest in missed]
         # fsum rounds each trace once, whatever the batch and its layout
         values[pairs] = [math.fsum(t) for t in theta.reshape(len(x), -1).tolist()]
-    for stage in ("covariance", "kernel"):
-        if misses[stage]:
-            raise _convergence_error(
-                f"{stage} fixed point", f"{rows.size} image pairs", sigma_tol, max_iter,
-                misses[stage], lambda k: f"images ({rows[k]}, {cols[k]})")
     return values
 
 

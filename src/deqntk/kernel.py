@@ -16,6 +16,7 @@ of inner products; scalar in, scalar out.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,44 +226,46 @@ def finite_depth_ntk(dot, d: int, params: KernelParams) -> PairKernelState:
     )
 
 
-def _iterate(x, step, operands, tol, max_iter):
+def _iterate(x, step, operands, tol, max_iter, stage, what, name):
     """Iterate x <- step(x, *operands) over the entries along x's first axis.
 
     ``step`` returns the new iterate and each entry's change.  An entry stops
     at its first step whose change is <= ``tol``: it is frozen with the
     post-step iterate and leaves the batch with its operands, so its result
     does not depend on the other entries.  Returns (x*, each entry's change
-    at its stop, the steps of the last entry to stop, misses): misses lists
-    (k, last change, the change before) for the entries still moving after
-    ``max_iter`` steps.
+    at its stop, the steps of the last entry to stop).
+
+    Raises the package's one ``ConvergenceError``, named by ``stage``, the
+    count of ``what`` and ``name(k)`` of the first failed entry k, when
+    entries are still moving after ``max_iter`` steps, or at once when a
+    step's change is not finite; then it reports the steps before that one.
+    The observed contraction is the ratio of that entry's last two changes.
     """
     out, changes = np.empty(x.shape), np.empty(len(x))
     live, change = np.arange(len(x)), np.full(len(x), np.inf)
-    last, iterations = change, 0
+    last, iterations, steps, note = change, 0, max_iter, ""
     for it in range(1, max_iter + 1):
         if not live.size:
             break
-        last, (x, change) = change, step(x, *operands)
-        done = change <= tol
-        if done.any():
+        before, last, (x, change) = last, change, step(x, *operands)
+        if not math.isfinite(np.maximum.reduce(change)):  # NaN propagates
+            bad = ~np.isfinite(change)
+            live, change, last, steps = live[bad], last[bad], before[bad], it - 1
+            note = ", whose iterate or change is not finite"
+            break
+        if np.minimum.reduce(change) <= tol:  # one reduction where no entry stops
+            done = change <= tol
             k, keep = live[done], ~done
             out[k], changes[k], iterations = x[done], change[done], it
             live, x, change, last = live[keep], x[keep], change[keep], last[keep]
             operands = tuple(o[keep] for o in operands)
-    return out, changes, iterations, list(zip(live, change, last))
-
-
-def _convergence_error(stage, what, tol, budget, misses, name):
-    """The error of a solve over ``what`` whose ``misses`` (see ``_iterate``;
-    not empty) were still moving after ``budget`` steps; ``name(k)`` names
-    entry k's input.  The observed contraction is the ratio of the first
-    miss's last two changes."""
-    k, change, last = misses[0]
-    with np.errstate(all="ignore"):  # a diverged entry may read inf / inf
-        rate = f", observed contraction {change / last:.3g}" if budget > 1 else ""
-    return ConvergenceError(
-        f"{stage}: {len(misses)} of {what} still moving after {budget} iterations "
-        f"at tol={tol}; first is {name(k)}, last change {change:.3e}{rate}"
+    if not live.size:
+        return out, changes, iterations
+    with np.errstate(all="ignore"):  # a ratio of finite changes may overflow
+        rate = f", observed contraction {change[0] / last[0]:.3g}" if steps > 1 else ""
+    raise ConvergenceError(
+        f"{stage}: {live.size} of {what} still moving after {steps} iterations "
+        f"at tol={tol}; first is {name(live[0])}{note}, last change {change[0]:.3e}{rate}"
     )
 
 
@@ -297,10 +300,9 @@ def _fixed_point(x, params: KernelParams):
         return u, np.abs(du) / (u + 1e-300)  # finite at x.y = 1: u = du = 0
 
     u0 = inject / (1.0 - sw2)
-    u, _, iterations, misses = _iterate(u0, step, (inject,), _STEP_TOL, _MAX_NEWTON_ITER)
-    if misses:
-        raise _convergence_error("covariance Newton", f"{x.size} dots", _STEP_TOL,
-                                 _MAX_NEWTON_ITER, misses, lambda k: f"x.y = {float(x[k])!r}")
+    u, _, iterations = _iterate(
+        u0, step, (inject,), _STEP_TOL, _MAX_NEWTON_ITER, "covariance Newton", f"{x.size} dots",
+        lambda k: f"x.y = {float(x[k])!r}")
     p, q = _duals(u / a, act)
     slope = (1.0 - sw2) + sw2 * p
     s = (params.sigma_u_sq * x + params.sigma_b_sq) / (1.0 - sw2) + (u0 - u)

@@ -357,6 +357,20 @@ class TestSliceSolver:
         monkeypatch.setattr(conv, "_BLOCK", 2 * 4 * 3)
         assert np.array_equal(_cdeq_pairs(imgs, imgs, rows, cols, 3, P), whole)
 
+    def test_stall_raises_from_the_first_stalled_block(self, monkeypatch):
+        import deqntk.conv as conv
+
+        imgs = unit_images(3, 4, 3, 2, seed=12)
+        # two pairs per block: (0, 0) and (1, 1) take their closed form;
+        # the second block stalls with one of its two pairs, before the
+        # third block's two stalled pairs are counted
+        monkeypatch.setattr(conv, "_BLOCK", 2 * 4 * 3)
+        with pytest.raises(ConvergenceError) as info:
+            _cdeq_pairs(imgs, imgs, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2], 3, P, max_iter=1)
+        msg = str(info.value)
+        assert msg.startswith("covariance fixed point: 1 of 2 image pairs")
+        assert "after 1 iterations" in msg and "first is images (0, 1)" in msg
+
     def test_covariance_budget_names_stage_and_pair(self):
         x, y = unit_images(2, 4, 4, 3)
         with pytest.raises(ConvergenceError) as info:

@@ -165,3 +165,41 @@ def test_one_convergence_error_format(solver, monkeypatch):
         assert (got["rate"] is not None) == (budget >= 2), str(err.value)
         if got["rate"] is not None:
             assert float(got["rate"]) == pytest.approx(changes[-1] / changes[-2], rel=1e-2)
+
+
+# One scripted change per entry (row) and step (column): entry 0 stops at
+# step 1, entry 1's change turns NaN at step 3 and entry 2 keeps moving.
+SCRIPT = np.array([[1e-9, 1e-9, 1e-9],
+                   [0.4, 0.1, np.nan],
+                   [0.5, 0.25, 0.2]])
+
+
+def scripted(calls):
+    """A step whose iterate counts the steps and whose change is read from
+    the rows of ``SCRIPT`` that are still in the batch."""
+    def step(x, rows):
+        calls.append(len(x))
+        return x + 1.0, rows[:, int(x[0])]
+    return step
+
+
+def test_loop_raises_at_once_on_a_non_finite_change():
+    calls = []
+    with pytest.raises(ConvergenceError) as err:
+        kernel._iterate(np.zeros(3), scripted(calls), (SCRIPT,), 1e-6, 10, "scripted",
+                        "3 entries", lambda k: f"entry {k}")
+    # no step runs after the NaN, and entry 0 left the batch at step 1
+    assert calls == [3, 2, 2]
+    assert str(err.value) == (
+        "scripted: 1 of 3 entries still moving after 2 iterations at tol=1e-06; first is "
+        "entry 1, whose iterate or change is not finite, last change 1.000e-01, "
+        "observed contraction 0.25")
+
+
+def test_loop_budget_names_the_first_live_entry():
+    with pytest.raises(ConvergenceError) as err:
+        kernel._iterate(np.zeros(3), scripted([]), (SCRIPT,), 1e-6, 2, "scripted",
+                        "3 entries", lambda k: f"entry {k}")
+    assert str(err.value) == (
+        "scripted: 2 of 3 entries still moving after 2 iterations at tol=1e-06; first is "
+        "entry 1, last change 1.000e-01, observed contraction 0.25")
