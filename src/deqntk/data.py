@@ -14,6 +14,7 @@ variable; explicit paths always win.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -28,8 +29,6 @@ DATA_DIR_ENV = "DEQNTK_DATA_DIR"
 UNIT_SAMPLE = "unit-sample"
 UNIT_PIXEL = "unit-pixel"
 
-_IDX_IMAGES_MAGIC = 0x00000803
-_IDX_LABELS_MAGIC = 0x00000801
 _CIFAR_RECORD = 3073  # 1 label byte + 32*32*3 pixels, channel-major
 
 _MNIST_FILES = {
@@ -57,29 +56,29 @@ def _read_bytes(path: Path) -> bytes:
     return raw
 
 
-def _parse_idx_images(raw: bytes, path: Path) -> np.ndarray:
-    if len(raw) < 16:
+def _read_idx(path: Path, ndim: int) -> np.ndarray:
+    """IDX file of unsigned bytes with ``ndim`` dimensions, as an N x (product
+    of the other dimensions) uint8 view of the file's bytes."""
+    raw = _read_bytes(path)
+    header = 4 * (ndim + 1)
+    if len(raw) < header:
         raise DataFormatError(f"{path}: truncated IDX header")
-    magic, n, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != _IDX_IMAGES_MAGIC:
-        raise DataFormatError(f"{path}: bad IDX image magic {magic:#010x}")
-    need = 16 + n * rows * cols
-    if len(raw) < need:
-        raise DataFormatError(f"{path}: truncated image data")
-    return np.frombuffer(raw, dtype=np.uint8, count=n * rows * cols, offset=16).reshape(
-        n, rows * cols
-    )
+    magic, n, *dims = struct.unpack(f">{ndim + 1}I", raw[:header])
+    if magic != 0x0800 + ndim:
+        raise DataFormatError(
+            f"{path}: bad IDX magic {magic:#010x}, expected {0x0800 + ndim:#010x}"
+        )
+    size = math.prod(dims)
+    if len(raw) < header + n * size:
+        raise DataFormatError(f"{path}: truncated IDX data")
+    return np.frombuffer(raw, np.uint8, count=n * size, offset=header).reshape(n, size)
 
 
-def _parse_idx_labels(raw: bytes, path: Path) -> np.ndarray:
-    if len(raw) < 8:
-        raise DataFormatError(f"{path}: truncated IDX header")
-    magic, n = struct.unpack(">II", raw[:8])
-    if magic != _IDX_LABELS_MAGIC:
-        raise DataFormatError(f"{path}: bad IDX label magic {magic:#010x}")
-    if len(raw) < 8 + n:
-        raise DataFormatError(f"{path}: truncated label data")
-    return np.frombuffer(raw, dtype=np.uint8, count=n, offset=8).astype(int)
+def _labels(labels: np.ndarray, path: Path) -> np.ndarray:
+    """uint8 class labels of ``path`` as ints; a label above 9 is a data error."""
+    if np.any(labels > 9):
+        raise DataFormatError(f"{path}: label exceeds 9")
+    return labels.astype(int)
 
 
 def _unit_pixels(images: np.ndarray) -> np.ndarray:
@@ -100,7 +99,7 @@ def _features(records: np.ndarray, normalization: str) -> np.ndarray:
     feats = records.astype(float, order="C")
     feats /= 255.0
     if normalization == UNIT_SAMPLE:
-        feats = feats.reshape(feats.shape[0], -1)
+        feats = feats.reshape(len(feats), math.prod(feats.shape[1:]))
         norms = np.sqrt(np.einsum("ij,ij->i", feats, feats))[:, None]
         if np.any(norms == 0):
             raise DataFormatError("all-zero sample cannot be unit-normalized")
@@ -126,8 +125,8 @@ def load_idx_pair(images_path, labels_path) -> Dataset:
     """MNIST-style IDX image/label file pair as unit-sample rows of pixels
     scaled to [0, 1]."""
     images_path, labels_path = Path(images_path), Path(labels_path)
-    images = _parse_idx_images(_read_bytes(images_path), images_path)
-    labels = _parse_idx_labels(_read_bytes(labels_path), labels_path)
+    images = _read_idx(images_path, 3)
+    labels = _labels(_read_idx(labels_path, 1)[:, 0], labels_path)
     if images.shape[0] != labels.shape[0]:
         raise DataFormatError(
             f"image count {images.shape[0]} != label count {labels.shape[0]}"
@@ -183,9 +182,7 @@ def load_cifar10(
                 f"{f}: size {len(raw)} is not a multiple of {_CIFAR_RECORD}"
             )
         arr = np.frombuffer(raw, dtype=np.uint8).reshape(-1, _CIFAR_RECORD)[:limit]
-        lab = arr[:, 0].astype(int)
-        if np.any(lab > 9):
-            raise DataFormatError(f"{f}: label exceeds 9")
+        lab = _labels(arr[:, 0], f)
         # channel-major records: 1024 red, 1024 green, 1024 blue
         img = arr[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
         images.append(img)

@@ -33,15 +33,25 @@ from deqntk.data import (
 
 
 def write_idx(tmp_path, n=6, rows=28, cols=28, magic_img=0x00000803,
-              magic_lab=0x00000801, seed=0, gz=False, truncate=False):
+              magic_lab=0x00000801, seed=0, gz=False, truncate=False,
+              labels=None, keep=(None, None), zero_sample=None):
+    """IDX image/label pair of ``n`` random samples labelled ``labels``
+    (default 0, 1, ..., 9, 0, ...).  ``truncate`` halves the image file,
+    ``keep`` cuts each file to its first bytes, and sample ``zero_sample``
+    is all zero."""
     rng = np.random.default_rng(seed)
     pixels = rng.integers(0, 256, size=(n, rows, cols), dtype=np.uint8)
     pixels[:, 0, 0] = np.maximum(pixels[:, 0, 0], 1)  # no all-zero sample
-    labels = (np.arange(n) % 10).astype(np.uint8)
+    if zero_sample is not None:
+        pixels[zero_sample] = 0
+    if labels is None:
+        labels = np.arange(n) % 10
+    labels = np.asarray(labels, dtype=np.uint8)
     img_raw = struct.pack(">IIII", magic_img, n, rows, cols) + pixels.tobytes()
     lab_raw = struct.pack(">II", magic_lab, n) + labels.tobytes()
     if truncate:
         img_raw = img_raw[: len(img_raw) // 2]
+    img_raw, lab_raw = img_raw[: keep[0]], lab_raw[: keep[1]]
     img_path = tmp_path / ("train-images-idx3-ubyte" + (".gz" if gz else ""))
     lab_path = tmp_path / ("train-labels-idx1-ubyte" + (".gz" if gz else ""))
     img_path.write_bytes(gzip.compress(img_raw) if gz else img_raw)
@@ -105,6 +115,44 @@ class TestMnistLoader:
     def test_missing_files(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_mnist(tmp_path)
+
+    @pytest.mark.parametrize("gz", [False, True])
+    @pytest.mark.parametrize("which, fault, message", [
+        ("images", {"keep": (15, None)}, "truncated IDX header"),
+        ("labels", {"keep": (None, 7)}, "truncated IDX header"),
+        ("labels", {"magic_lab": 0x0803}, "bad IDX magic 0x00000803"),
+        ("images", {"magic_img": 0x0801}, "bad IDX magic 0x00000801"),
+        ("images", {"magic_img": 0x0802}, "bad IDX magic 0x00000802"),
+        ("labels", {"keep": (None, 8 + 5)}, "truncated IDX data"),
+        ("labels", {"labels": [0, 1, 2, 12, 4, 5]}, "label exceeds 9"),
+    ], ids=["images-header", "labels-header", "labels-magic", "images-magic-1",
+            "images-magic-2", "labels-data", "label-above-9"])
+    def test_format_errors_name_the_file(self, tmp_path, gz, which, fault, message):
+        img, lab, _ = write_idx(tmp_path, gz=gz, **fault)
+        with pytest.raises(DataFormatError, match=message) as err:
+            load_idx_pair(img, lab)
+        assert str(err.value).startswith(str(img if which == "images" else lab))
+
+    def test_zero_count_pair(self, tmp_path):
+        img, lab, _ = write_idx(tmp_path, n=0)
+        ds = load_idx_pair(img, lab)
+        assert ds.features.shape == (0, 784) and ds.features.dtype == np.float64
+        assert ds.labels.shape == (0,) and ds.labels.dtype == int
+
+    def test_all_zero_sample(self, tmp_path):
+        img, lab, _ = write_idx(tmp_path, zero_sample=2)
+        with pytest.raises(DataFormatError, match="all-zero sample"):
+            load_idx_pair(img, lab)
+
+    def test_path_must_be_a_directory(self, tmp_path):
+        img, _, _ = write_idx(tmp_path)
+        with pytest.raises(DataFormatError, match="expects a directory"):
+            load_mnist(img)
+
+    def test_unknown_split(self, tmp_path):
+        write_idx(tmp_path)
+        with pytest.raises(ValueError, match="split"):
+            load_mnist(tmp_path, split="validation")
 
 
 class TestCifarLoader:
@@ -179,6 +227,22 @@ class TestCifarLoader:
         write_cifar(tmp_path, bad_size=True)
         with pytest.raises(DataFormatError):
             load_cifar10(tmp_path)
+
+    def test_any_batch_file_without_training_batches(self, tmp_path):
+        (tmp_path / "test_batch.bin").write_bytes(write_cifar(tmp_path).read_bytes())
+        (tmp_path / "data_batch_1.bin").unlink()
+        ds = load_cifar10(tmp_path)
+        assert ds.features.shape == (5, 3072)
+        assert ds.source == str(tmp_path / "test_batch.bin")
+
+    def test_empty_directory(self, tmp_path):
+        with pytest.raises(DataFormatError, match="no CIFAR-10 batch files"):
+            load_cifar10(tmp_path)
+
+    def test_unknown_normalization(self, tmp_path):
+        write_cifar(tmp_path)
+        with pytest.raises(ValueError, match="unknown normalization"):
+            load_cifar10(tmp_path, normalization="bogus")
 
 
 class TestConfig:
@@ -329,6 +393,21 @@ class TestCli:
                                            "--n-train", "20", "--n-test", "10"])
         assert result.exit_code == 0, result.output
         assert "accuracy =" in result.output
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_regress_bad_label_exits_data_at_load(self, tmp_path, seed, monkeypatch):
+        # sample 3 falls in the train split at seed 0 and in the test split at 4
+        tr, te = cli._split(np.random.default_rng(seed), 40, 30, 10)
+        assert 3 in (tr if seed == 0 else te)
+        labels = np.arange(40) % 10
+        labels[3] = 12
+        _, lab, _ = write_idx(tmp_path, n=40, labels=labels)
+        monkeypatch.setattr(cli, "assemble_gram", None)  # never reached
+        result = CliRunner().invoke(main, ["regress", "--path", str(tmp_path),
+                                           "--n-train", "30", "--n-test", "10",
+                                           "--seed", str(seed)])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert f"{lab}: label exceeds 9" in result.output
 
     @pytest.mark.parametrize("sizes", [["--n-train", "45", "--n-test", "10"],
                                        ["--n-train", "50"]])
