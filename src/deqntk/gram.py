@@ -1,14 +1,14 @@
 """Gram-matrix assembly, label encoding and regularized kernel regression.
 
-Dense kernels (fixed-point and finite-depth, for either activation) depend
-on a pair only through its inner product, so their Grams are vectorized over
-the dataset's dot products.  A nonlinear dense Gram runs its exact solver
-only at a few Chebyshev nodes in the angle arccos(x.y) over the range its
-entries span, and evaluates that checked fit at every entry.  A self Gram of
-any kernel solves its upper triangle once and mirrors it.  The convolutional
-kernel is solved in one batched call over the image pairs of that triangle
-(or of the test x train grid); each entry is a pure function of its two
-images and equals ``cdeq_kernel_pair`` on that pair exactly.
+Dense kernels (fixed-point and finite-depth, either activation) depend on a
+pair only through its inner product, so their Grams are vectorized over the
+dataset's dot products.  A nonlinear dense Gram runs its exact solver only
+at a few Chebyshev nodes in the angle arccos(x.y) over the range its entries
+span, and evaluates that checked fit, noise tail chopped, at every entry.  A
+self Gram of any kernel solves its upper triangle once and mirrors it.  The
+convolutional kernel is solved in one batched call over the image pairs of
+that triangle (or of the test x train grid); each entry is a pure function
+of its two images and equals ``cdeq_kernel_pair`` on that pair exactly.
 """
 from __future__ import annotations
 
@@ -128,7 +128,10 @@ def _angle_fit(exact, lo, hi):
     """Chebyshev coefficients of ``exact`` in u = (phi - mid) / half on [lo,
     hi] = [mid - half, mid + half], the exact value at dot = 1 and the fit's
     relative error at its check points, for the first degree in
-    ``_FIT_DEGREES`` whose error is within ``FIT_TOL`` (else the last).
+    ``_FIT_DEGREES`` whose error is within ``FIT_TOL`` (else the last).  An
+    accepted fit drops its trailing coefficients while their |c_k| sum to at
+    most min(miss, FIT_TOL * scale - miss), for the check's absolute miss
+    and max|exact| scale (Aurentz & Trefethen, 2017).
 
     A degree-n fit interpolates at the n + 1 Chebyshev points of the first
     kind and is checked at the n + 2 points interleaved with them, the
@@ -144,10 +147,19 @@ def _angle_fit(exact, lo, hi):
         u = (np.arccos(dots) - mid) / half
         coef = chebyshev.chebfit(u[1::2], values[1::2], n)
         miss = np.max(np.abs(chebyshev.chebval(u[::2], coef) - values[::2]))
-        err = miss / max(np.max(np.abs(values)), np.finfo(float).tiny)
+        scale = max(np.max(np.abs(values)), np.finfo(float).tiny)
+        err = miss / scale
         if err <= FIT_TOL:
+            coef = _chop(coef, min(miss, FIT_TOL * scale - miss))
             break
     return coef, at_one, err
+
+
+def _chop(coef, slack):
+    """``coef`` less its longest tail with sum |c_k| <= ``slack``, the
+    constant kept; as |T_k| <= 1, the series moves by at most that sum."""
+    tail = np.cumsum(np.abs(coef[:0:-1]))
+    return coef[: coef.size - np.count_nonzero(tail <= slack)]
 
 
 def assemble_gram(
@@ -284,23 +296,21 @@ def depth_sweep(
 ) -> list[dict]:
     """Accuracy of the injected and vanilla finite-depth kernels over depths.
 
-    Each rep draws a fresh train/test split from the seeded stream; rows are
-    dicts with keys kernel, depth, rep, accuracy.
+    Each rep draws a fresh train/test split from the seeded stream, fitted
+    once per (kernel, depth); rows are dicts of kernel, depth, rep, accuracy.
     """
     labels = np.asarray(labels, dtype=int)
     rows = []
     rng = np.random.default_rng(seed)
     for rep in range(reps):
         tr, te = _split(rng, features.shape[0], n_train, n_test)
-        dots_tr = _dot_matrix(features[tr])
-        dots_te = _dot_matrix(features[te], features[tr])
+        train = features[tr]
+        dots = np.vstack((_dot_matrix(train), _dot_matrix(features[te], train)))
         for tag, params in ((FINITE_DEPTH_NTK, params_deq), (VANILLA_NTK, params_vanilla)):
             for d in depths:
-                K = kernel_from_dots(dots_tr, tag, params, d)
-                C = kernel_from_dots(dots_te, tag, params, d)
-                acc = regress_and_score(
-                    K, C, labels[tr], labels[te], reg_eps, num_classes
-                )
+                values = kernel_from_dots(dots, tag, params, d)
+                acc = regress_and_score(values[:n_train], values[n_train:],
+                                        labels[tr], labels[te], reg_eps, num_classes)
                 rows.append(
                     {"kernel": tag, "depth": int(d), "rep": rep, "accuracy": acc}
                 )

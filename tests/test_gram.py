@@ -558,6 +558,59 @@ class TestFiniteDepthFit:
         assert "at degree 128, above 2e-11" in message
         assert message.endswith("running the exact Newton solve on every entry")
 
+    @staticmethod
+    def record_lengths(monkeypatch):
+        """Record len(coef) of every Chebyshev evaluation: the fit's checks,
+        then its blocks of entries."""
+        lengths = []
+        chebval = gram.chebyshev.chebval
+
+        def counted(x, coef, *args, **kwargs):
+            lengths.append(len(coef))
+            return chebval(x, coef, *args, **kwargs)
+
+        monkeypatch.setattr(gram.chebyshev, "chebval", counted)
+        return lengths
+
+    def test_chop_keeps_the_constant_term(self):
+        assert gram._chop(np.array([2.0, 1e-3, 1e-17, -1e-17]), 5e-17).tolist() == [2.0, 1e-3]
+        assert gram._chop(np.array([2.0, 1e-3, 1e-17]), 0.0).size == 3
+        assert gram._chop(np.zeros(17), 0.0).tolist() == [0.0]
+        assert gram._chop(np.array([2.0, 1e-20]), 1.0).tolist() == [2.0]
+
+    @pytest.mark.parametrize("depth", [1, 10, 500])
+    def test_flat_kernels_keep_the_constant_term(self, depth, monkeypatch):
+        # Over any range the zero kernel's series is all zeros, and a
+        # constant kernel's is its constant plus rounding: the chop may take
+        # every term but c_0, and must leave c_0.
+        zero, constant = KernelParams(0.0, 0.0), KernelParams(0.0, 0.0, sigma_b_sq=0.5)
+        for dots in (data_dots(), wide_dots()):
+            for p in (zero, constant):
+                lengths = self.record_lengths(monkeypatch)
+                got = kernel_from_dots(dots, VANILLA_NTK, p, depth)
+                monkeypatch.undo()
+                assert lengths[0] == 17 and 1 <= lengths[-1] < 17, (p, lengths)
+                want = exact_values(dots, VANILLA_NTK, p, depth)
+                if p is zero:
+                    assert lengths[-1] == 1 and not np.any(got), lengths
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), p
+
+    @pytest.mark.parametrize("tag, depth", fitted_tags((1, 10, 50, 500)))
+    def test_chopped_fit_on_pixel_dots(self, tag, depth, monkeypatch):
+        # Degree 16 passes on pixel-like dots, and its coefficients fall to
+        # rounding well before c_16: the entries see fewer terms, and stay as
+        # close to the exact solver.
+        dots = data_dots()
+        for p in FIT_CASES[tag]:
+            if tag == VANILLA_NTK and p.sigma_w_sq == 0.0:
+                continue  # the zero kernel: one term, tested above
+            lengths = self.record_lengths(monkeypatch)
+            got = kernel_from_dots(dots, tag, p, depth)
+            monkeypatch.undo()
+            assert lengths[0] == 17 and lengths[-1] < 17, (p, lengths)
+            want = exact_values(dots, tag, p, depth)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), p
+
     def test_vanilla_depth_500_against_mpmath(self, caplog):
         # the second range lies next to the cusp, where the deep layers'
         # angle map is sharpest
@@ -584,6 +637,39 @@ class TestSweeps:
         assert all(0.0 <= r["accuracy"] <= 1.0 for r in rows)
         summary = summarize_sweep(rows)
         assert len(summary) == 2
+
+    def test_sweep_fits_train_and_test_once(self, monkeypatch):
+        # One fit per (kernel, depth) per rep, over the train self dots
+        # stacked on the test x train dots, scores as the two Grams fitted
+        # apart did.
+        X = unit_rows(60, 12, seed=7)
+        labels = np.arange(60) % 3
+        vanilla = KernelParams(sigma_w_sq=1.0, sigma_u_sq=0.0)
+        depths, reps, n_train, n_test = [1, 10, 50], 2, 40, 15
+        shapes = []
+        fit = gram.kernel_from_dots
+
+        def counted(dots, tag, params, depth):
+            shapes.append((tag, depth, dots.shape))
+            return fit(dots, tag, params, depth)
+
+        monkeypatch.setattr(gram, "kernel_from_dots", counted)
+        rows = depth_sweep(X, labels, depths, P, vanilla, reps=reps, n_train=n_train,
+                           n_test=n_test, num_classes=3, seed=4)
+        monkeypatch.undo()
+        pairs = [(tag, d) for tag in (FINITE_DEPTH_NTK, VANILLA_NTK) for d in depths]
+        assert shapes == [(tag, d, (n_train + n_test, n_train)) for tag, d in pairs] * reps
+
+        rng = np.random.default_rng(4)
+        apart = []
+        for _ in range(reps):
+            tr, te = gram._split(rng, len(X), n_train, n_test)
+            for tag, d in pairs:
+                p = P if tag == FINITE_DEPTH_NTK else vanilla
+                K = kernel_from_dots(gram._dot_matrix(X[tr]), tag, p, d)
+                C = kernel_from_dots(gram._dot_matrix(X[te], X[tr]), tag, p, d)
+                apart.append(regress_and_score(K, C, labels[tr], labels[te], 1e-4, 3))
+        assert [r["accuracy"] for r in rows] == apart
 
     def test_sweep_requires_unit_rows(self):
         X = 1.5 * unit_rows(20, 6, seed=8)
