@@ -11,7 +11,8 @@ Each fit is one ``gram.kernel_from_dots`` call, on these inputs:
   kernels at depths 10, 50 and 500, on the dots ``depth_sweep`` passes;
 * ``dense-regress``: perfbench's dense-regress inputs at ``--seed`` (2,000
   train and 1,000 test synthetic MNIST samples); the fixed-point kernel at
-  sigma_w_sq 0.6 on the train triangle and on the test x train dots;
+  sigma_w_sq 0.6 on the train self dots and on the test x train dots, as
+  ``gram._dot_matrix`` gives them to ``assemble_gram`` and ``cross_gram``;
 * ``wide``: the tests' 2,000 dots uniform on [-1, 1), -1 included, for the
   kernels of both workloads.
 
@@ -87,11 +88,9 @@ def fits(seed: int, directory: Path) -> list:
     ds = load_mnist(directory / "regress")
     rng = np.random.default_rng(wl.cli_seed)
     tr, te = gram._split(rng, len(ds.features), wl.size["n_train"], wl.size["n_test"])
-    tag, params, _ = DEQ_KERNEL
-    calls = captured_dots(lambda: (gram.assemble_gram(ds.features[tr], tag, params),
-                                   gram.cross_gram(ds.features[te], ds.features[tr], tag,
-                                                   params)))
-    out += [("dense-regress", dots, tag, params, None) for dots, *_ in calls]
+    train = ds.features[tr]
+    out += [("dense-regress", dots, *DEQ_KERNEL)
+            for dots in (gram._dot_matrix(train), gram._dot_matrix(ds.features[te], train))]
 
     wide = np.random.default_rng(0).uniform(-1.0, 1.0, 2000)
     wide[0] = -1.0

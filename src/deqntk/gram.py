@@ -1,14 +1,13 @@
 """Gram-matrix assembly, label encoding and regularized kernel regression.
 
 Dense kernels (fixed-point and finite-depth, either activation) depend on a
-pair only through its inner product, so their Grams are vectorized over the
-dataset's dot products.  A nonlinear dense Gram runs its exact solver only
-at a few Chebyshev nodes in the angle arccos(x.y) over the range its entries
-span, and evaluates that checked fit, noise tail chopped, at every entry.  A
-self Gram of any kernel solves its upper triangle once and mirrors it.  The
-convolutional kernel is solved in one batched call over the image pairs of
-that triangle (or of the test x train grid); each entry is a pure function
-of its two images and equals ``cdeq_kernel_pair`` on that pair exactly.
+pair only through its inner product, so a dense Gram is its dot matrix,
+overwritten with the kernel's values.  A nonlinear one runs its exact solver
+only at a few Chebyshev nodes in the angle arccos(x.y) over the range its
+entries span, and evaluates that checked fit, noise tail chopped, at every
+entry.  A convolutional Gram is one batched solve over the image pairs of
+its upper triangle, then mirrored (or of the test x train grid); each entry
+is a pure function of its two images and equals ``cdeq_kernel_pair`` exactly.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from numpy.polynomial import chebyshev
 
 from .conv import _cdeq_pairs
 from .kernel import (
-    _as_correlation, _blocks, _check_unit, _clip, finite_depth_theta, theta_deq_grid,
+    _as_correlation, _blocks, _check_unit, finite_depth_theta, theta_deq_grid,
     theta_linear_deq,
 )
 from .params import LINEAR, KernelParams
@@ -69,59 +68,62 @@ def kernel_from_dots(
     params: KernelParams,
     depth: int | None = None,
 ) -> np.ndarray:
-    """Kernel values for a matrix of pairwise inner products (dense tags)."""
-    if kernel_tag == DEQ_NTK:
-        if params.activation == LINEAR:
-            # affine in x.y; crosses 0, so no relative fit bound
-            return theta_linear_deq(dots, params)
-        return _fitted_gram(dots, lambda x: theta_deq_grid(x, params),
-                            kernel_tag, "the exact Newton solve")
-    if kernel_tag in (FINITE_DEPTH_NTK, VANILLA_NTK):
+    """Kernel values for an array of inner products (dense tags); ``dots`` is not written."""
+    values = np.clip(_as_correlation(dots), -1.0, 1.0, out=np.empty(np.shape(dots)))
+    return _kernel_in_place(values, kernel_tag, params, depth)
+
+
+def _kernel_in_place(dots, kernel_tag, params, depth):
+    """Overwrite ``dots``, C-ordered inner products in [-1, 1], with the kernel."""
+    if kernel_tag == DEQ_NTK and params.activation == LINEAR:
+        # affine in x.y; crosses 0, so no relative fit bound
+        dots[...] = theta_linear_deq(dots, params)
+    elif kernel_tag == DEQ_NTK:
+        _fitted_gram(dots, lambda x: theta_deq_grid(x, params),
+                     kernel_tag, "the exact Newton solve")
+    elif kernel_tag in (FINITE_DEPTH_NTK, VANILLA_NTK):
         if depth is None:
             raise ValueError(f"{kernel_tag} requires a depth")
         if kernel_tag == VANILLA_NTK and params.sigma_u_sq != 0.0:
             raise ValueError("vanilla kernel expects sigma_u_sq = 0")
-        return _fitted_gram(dots, lambda x: finite_depth_theta(x, depth, params),
-                            f"{kernel_tag} depth {depth}", "the exact recursion")
-    raise ValueError(f"unknown dense kernel tag {kernel_tag!r}")
+        _fitted_gram(dots, lambda x: finite_depth_theta(x, depth, params),
+                     f"{kernel_tag} depth {depth}", "the exact recursion")
+    else:
+        raise ValueError(f"unknown dense kernel tag {kernel_tag!r}")
+    return dots
 
 
 def _fitted_gram(dots, exact, label, exact_name):
-    """Kernel values from a Chebyshev fit in phi = arccos(dot) to ``exact``,
-    the kernel's solver over an array of dots.
+    """Overwrite ``dots`` with a Chebyshev fit in phi = arccos(dot) to
+    ``exact``, the kernel's solver over an array of dots.
 
     The kernel is smooth in phi, so it is interpolated on [phi_min, phi_max]
-    of the entries with dot < 1.  Entries with dot = 1 take the exact value
-    at 1, solved with the fit's nodes.  Ranges of one angle, and ranges no
-    degree fits, run ``exact`` on every entry; the latter is logged as a
-    warning.  ``label`` and ``exact_name`` name the kernel and its solver in
-    the log.
+    of the entries with dot < 1, the angles of the largest such dot and of
+    the smallest dot.  Entries with dot = 1 take the exact value at 1, solved
+    with the fit's nodes.  Ranges of one angle, and ranges no degree fits,
+    run ``exact`` on every entry; the latter is logged as a warning.
+    ``label`` and ``exact_name`` name the kernel and its solver in the log.
     """
-    dots = np.asarray(dots, dtype=float)
     flat = dots.reshape(-1)
-    out = np.empty(flat.shape)
-    lo, hi = np.pi, 0.0
-    for a, b in _blocks(flat.size):
-        phi = out[a:b]
-        np.arccos(_clip(_as_correlation(flat[a:b]), -1.0, 1.0), out=phi)
-        lo = min(lo, phi.min(where=phi > 0.0, initial=np.pi))
-        hi = max(hi, phi.max())
-    if not hi > lo:
-        return exact(dots)
-    coef, at_one, err = _angle_fit(exact, lo, hi)
-    if err > FIT_TOL:
+    blocks = [flat[a:b] for a, b in _blocks(flat.size)]
+    below_one = [block.max(where=block < 1.0, initial=-1.0) for block in blocks]
+    lo, hi = np.arccos(max(below_one, default=-1.0)), np.arccos(flat.min(initial=1.0))
+    if hi > lo:
+        coef, at_one, err = _angle_fit(exact, lo, hi)
+        if err <= FIT_TOL:
+            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+            for block in blocks:
+                one = block >= 1.0
+                np.arccos(block, out=block)
+                block -= mid
+                block /= half
+                block[:] = chebyshev.chebval(block, coef)
+                np.copyto(block, at_one, where=one)
+            return
         log.warning("%s: Chebyshev fit on angles [%.6g, %.6g] reached %.2e "
                     "relative at degree %d, above %.0e; running %s on every entry",
                     label, lo, hi, err, coef.size - 1, FIT_TOL, exact_name)
-        return exact(dots)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    for a, b in _blocks(flat.size):
-        phi = out[a:b]
-        phi -= mid
-        phi /= half
-        phi[:] = chebyshev.chebval(phi, coef)
-        np.copyto(phi, at_one, where=flat[a:b] >= 1.0)
-    return out.reshape(dots.shape)
+    dots[...] = exact(dots)
 
 
 def _angle_fit(exact, lo, hi):
@@ -172,19 +174,19 @@ def assemble_gram(
     """Kernel matrix over ``features``: N x m unit-norm rows for the dense
     tags, N x P x Q x C unit-pixel images for the convolutional one.
 
-    Every tag solves the upper triangle, diagonal included, in one call over
-    its pairs in row-major order and mirrors it, so the matrix is exactly
-    symmetric.  A boolean mask picks the triangle at 1 byte per entry, where
-    ``triu_indices`` would take 16.
+    The matrix is exactly symmetric.  A dense tag evaluates every entry of
+    the dot matrix, which one ``syrk`` product makes symmetric, from its own
+    dot alone; the convolutional tag solves the upper triangle, diagonal
+    included, in one call over its pairs in row-major order and mirrors it.
     """
     n = features.shape[0]
-    upper = np.triu(np.ones((n, n), dtype=bool))
     if kernel_tag == CDEQ_NTK:
-        tri = _cdeq_pairs(features, features, *np.nonzero(upper), filter_size, params)
+        rows, cols = np.triu_indices(n)
+        values = np.empty((n, n))
+        values[rows, cols] = values[cols, rows] = _cdeq_pairs(
+            features, features, rows, cols, filter_size, params)
     else:
-        tri = kernel_from_dots(_dot_matrix(features)[upper], kernel_tag, params, depth)
-    values = np.empty((n, n))
-    values[upper] = values.T[upper] = tri
+        values = _kernel_in_place(_dot_matrix(features), kernel_tag, params, depth)
     return GramMatrix(values=values)
 
 
@@ -204,7 +206,7 @@ def cross_gram(
             test_features, train_features, rows, cols, filter_size, params
         ).reshape(shape)
     dots = _dot_matrix(test_features, train_features)
-    return kernel_from_dots(dots, kernel_tag, params, depth)
+    return _kernel_in_place(dots, kernel_tag, params, depth)
 
 
 def encode_labels(labels, num_classes: int) -> np.ndarray:

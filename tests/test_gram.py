@@ -38,6 +38,7 @@ from deqntk.gram import (
     theta_vs_dot_sweep,
     write_rows_csv,
 )
+from deqntk.kernel import BOUNDARY_SLACK
 from mp_oracles import mp_deq, mp_finite_depth
 
 P = KernelParams(sigma_w_sq=0.5, sigma_u_sq=0.5)
@@ -96,8 +97,9 @@ class TestAssembly:
                 assert abs(G[i, j] - theta_oracle(d, P)) <= 1e-8
 
     def test_symmetry_and_constant_diagonal(self):
-        # Every self Gram solves its upper triangle and mirrors it.  At
-        # n = 300 the triangle's 45,150 entries span two Newton blocks.
+        # A dense self Gram evaluates every entry of its dot matrix; at
+        # n = 300 its 90,000 entries span three 32 Ki blocks.  The
+        # convolutional Gram solves its upper triangle and mirrors it.
         cases = [
             (DEQ_NTK, P, None),
             (DEQ_NTK, KernelParams(0.3, 0.2, sigma_b_sq=0.5, activation=LINEAR), None),
@@ -199,6 +201,38 @@ class TestAssembly:
         msg = str(info.value)
         assert msg.startswith("covariance fixed point: 3 of 6 image pairs")
         assert "after 30 iterations" in msg and "first is images (0, 1)" in msg
+
+
+class TestKernelFromDots:
+    """``kernel_from_dots`` returns a new array and never writes its
+    argument, which callers read again; dots within ``BOUNDARY_SLACK``
+    outside [-1, 1] give the values at +-1 exactly."""
+
+    @pytest.mark.parametrize("tag, p, depth", [
+        (DEQ_NTK, P, None),
+        (DEQ_NTK, KernelParams(0.3, 0.2, sigma_b_sq=0.5, activation=LINEAR), None),
+        (FINITE_DEPTH_NTK, KernelParams(0.6, 0.4), 50),
+        (VANILLA_NTK, KernelParams(1.0, 0.0), 10),
+        (DEQ_NTK, KernelParams(0.999, 0.001), None),
+    ], ids=["deq", "linear-deq", "finite-depth", "vanilla", "deq-fit-fallback"])
+    def test_argument_unchanged_and_slack_clamped(self, tag, p, depth, caplog):
+        # The duplicated sample, one ulp below 1, keeps the last case's fit
+        # from passing, so it runs the exact solver on every entry.
+        dots = data_dots()
+        dots[0, 1] = dots[1, 0] = 1.0 - 2.0**-52
+        dots[2, 3] = dots[3, 2] = -1.0
+        outside = np.where(np.abs(dots) == 1.0, np.sign(dots) * (1.0 + BOUNDARY_SLACK), dots)
+        assert np.count_nonzero(outside > 1.0) == 50 and np.count_nonzero(outside < -1.0) == 2
+        want = kernel_from_dots(dots, tag, p, depth)
+        for arg in (outside, np.asfortranarray(outside), dots):
+            before = arg.tobytes(order="A")
+            with caplog.at_level(logging.WARNING, logger="deqntk"):
+                got = kernel_from_dots(arg, tag, p, depth)
+            assert arg.tobytes(order="A") == before
+            assert not np.shares_memory(got, arg)
+            assert np.array_equal(got, want)
+        fell_back = any("on every entry" in r.getMessage() for r in caplog.records)
+        assert fell_back == (p.sigma_w_sq == 0.999)
 
 
 def with_nan(a):
@@ -355,22 +389,22 @@ def traced_peak(f, *args):
 
 class TestMemory:
     """Peaks at n = 1000 in units of one n x n float64 array, 8 n^2 bytes.
-    The self Gram holds the dot matrix, clipped in place, then the
-    triangle's dots and its fitted values, then the result; the cross Gram
-    holds its dot matrix and its fitted values; the regression holds one
-    shifted copy of K, which LAPACK factors in place."""
+    The self Gram holds one n x n buffer, its dot matrix, which the kernel's
+    values overwrite block by block; the cross Gram holds its n/2 x n dot
+    matrix the same way; the regression holds one shifted copy of K, which
+    LAPACK factors in place."""
 
     n = 1000
 
     def test_self_gram_peak(self):
         X = unit_rows(self.n, 50, seed=1)
         peak = traced_peak(assemble_gram, X, DEQ_NTK, P)
-        assert peak <= 2.0 * 8 * self.n**2
+        assert peak <= 1.25 * 8 * self.n**2
 
     def test_cross_gram_peak(self):
         X = unit_rows(self.n, 50, seed=1)
         peak = traced_peak(cross_gram, X[: self.n // 2], X, DEQ_NTK, P)
-        assert peak <= 1.5 * 8 * self.n**2
+        assert peak <= 0.75 * 8 * self.n**2
 
     def test_regression_peak(self):
         X = unit_rows(self.n, 50, seed=1)
