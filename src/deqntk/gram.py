@@ -2,12 +2,12 @@
 
 Dense kernels (fixed-point and finite-depth, either activation) depend on a
 pair only through its inner product, so a dense Gram is its dot matrix,
-overwritten with the kernel's values.  A nonlinear one runs its exact solver
-only at a few Chebyshev nodes in the angle arccos(x.y) over the range its
-entries span, and evaluates that checked fit, noise tail chopped, at every
-entry.  A convolutional Gram is one batched solve over the image pairs of
-its upper triangle, then mirrored (or of the test x train grid); each entry
-is a pure function of its two images and equals ``cdeq_kernel_pair`` exactly.
+overwritten block by block with the kernel's values.  A nonlinear one solves
+exactly only at a few Chebyshev nodes in arccos(x.y) over its entries' range
+and evaluates that checked fit, noise tail chopped, at every entry.  A
+convolutional Gram is one batched solve over the image pairs of its upper
+triangle, then mirrored (or of the test x train grid); each entry is a pure
+function of its two images and equals ``cdeq_kernel_pair`` exactly.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from numpy.polynomial import chebyshev
 
 from .conv import _cdeq_pairs
 from .kernel import (
-    _as_correlation, _blocks, _check_unit, finite_depth_theta, theta_deq_grid,
-    theta_linear_deq,
+    _as_correlation, _blocks, _check_unit, _map_blocks, finite_depth_theta,
+    theta_deq_grid, theta_linear_deq,
 )
 from .params import LINEAR, KernelParams
 
@@ -74,56 +74,59 @@ def kernel_from_dots(
 
 
 def _kernel_in_place(dots, kernel_tag, params, depth):
-    """Overwrite ``dots``, C-ordered inner products in [-1, 1], with the kernel."""
+    """Overwrite ``dots``, C-ordered in [-1, 1], with the kernel block by block."""
     if kernel_tag == DEQ_NTK and params.activation == LINEAR:
         # affine in x.y; crosses 0, so no relative fit bound
-        dots[...] = theta_linear_deq(dots, params)
+        evaluate = lambda x: theta_linear_deq(x, params)
     elif kernel_tag == DEQ_NTK:
-        _fitted_gram(dots, lambda x: theta_deq_grid(x, params),
-                     kernel_tag, "the exact Newton solve")
+        evaluate = _fitted_gram(dots, lambda x: theta_deq_grid(x, params),
+                                kernel_tag, "the exact Newton solve")
     elif kernel_tag in (FINITE_DEPTH_NTK, VANILLA_NTK):
         if depth is None:
             raise ValueError(f"{kernel_tag} requires a depth")
         if kernel_tag == VANILLA_NTK and params.sigma_u_sq != 0.0:
             raise ValueError("vanilla kernel expects sigma_u_sq = 0")
-        _fitted_gram(dots, lambda x: finite_depth_theta(x, depth, params),
-                     f"{kernel_tag} depth {depth}", "the exact recursion")
+        evaluate = _fitted_gram(dots, lambda x: finite_depth_theta(x, depth, params),
+                                f"{kernel_tag} depth {depth}", "the exact recursion")
     else:
         raise ValueError(f"unknown dense kernel tag {kernel_tag!r}")
-    return dots
+    evaluate(dots.reshape(-1)[:0])  # checks the parameters, an empty Gram's too
+    return _map_blocks(evaluate, dots, out=dots)
 
 
 def _fitted_gram(dots, exact, label, exact_name):
-    """Overwrite ``dots`` with a Chebyshev fit in phi = arccos(dot) to
-    ``exact``, the kernel's solver over an array of dots.
+    """Evaluator of the blocks of ``dots``: a Chebyshev fit in phi =
+    arccos(dot) to ``exact``, the kernel's solver over an array of dots.
 
     The kernel is smooth in phi, so it is interpolated on [phi_min, phi_max]
     of the entries with dot < 1, the angles of the largest such dot and of
-    the smallest dot.  Entries with dot = 1 take the exact value at 1, solved
-    with the fit's nodes.  Ranges of one angle, and ranges no degree fits,
-    run ``exact`` on every entry; the latter is logged as a warning.
-    ``label`` and ``exact_name`` name the kernel and its solver in the log.
+    the smallest dot; dot = 1 takes the exact value, solved with the fit's
+    nodes.  The fit works in the block it is given.  Ranges of one angle, and
+    ranges no degree fits, get ``exact`` itself; the latter is logged as a
+    warning.  ``label`` and ``exact_name`` name the kernel and its solver.
     """
     flat = dots.reshape(-1)
-    blocks = [flat[a:b] for a, b in _blocks(flat.size)]
-    below_one = [block.max(where=block < 1.0, initial=-1.0) for block in blocks]
+    below_one = [flat[a:b].max(where=flat[a:b] < 1.0, initial=-1.0)
+                 for a, b in _blocks(flat.size)]
     lo, hi = np.arccos(max(below_one, default=-1.0)), np.arccos(flat.min(initial=1.0))
     if hi > lo:
         coef, at_one, err = _angle_fit(exact, lo, hi)
         if err <= FIT_TOL:
             mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            for block in blocks:
+
+            def fit(block):
                 one = block >= 1.0
                 np.arccos(block, out=block)
                 block -= mid
                 block /= half
-                block[:] = chebyshev.chebval(block, coef)
-                np.copyto(block, at_one, where=one)
-            return
+                values = chebyshev.chebval(block, coef)
+                np.copyto(values, at_one, where=one)
+                return values
+            return fit
         log.warning("%s: Chebyshev fit on angles [%.6g, %.6g] reached %.2e "
                     "relative at degree %d, above %.0e; running %s on every entry",
                     label, lo, hi, err, coef.size - 1, FIT_TOL, exact_name)
-    dots[...] = exact(dots)
+    return exact
 
 
 def _angle_fit(exact, lo, hi):
@@ -341,16 +344,14 @@ def summarize_sweep(rows: list[dict]) -> list[dict]:
     return out
 
 
-def theta_vs_dot_sweep(
-    params: KernelParams, depths, num_points: int = 41
-) -> list[dict]:
-    """Pre-readout kernel values on a dot grid in [-1, 1] for each depth.
+def theta_vs_dot_sweep(params: KernelParams, depths) -> list[dict]:
+    """Pre-readout kernel values at 41 evenly spaced dots in [-1, 1] per depth.
 
     At depth 0 the kernel equals the inner product itself; without input
     injection the values flatten across the grid as depth grows, with
     injection they stay strictly increasing in dot.
     """
-    dots = np.linspace(-1.0, 1.0, num_points)
+    dots = np.linspace(-1.0, 1.0, 41)
     rows = []
     for d in depths:
         theta = finite_depth_theta(dots, d, params, include_output_layer=False)

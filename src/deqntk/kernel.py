@@ -36,12 +36,12 @@ _STEP_TOL = 1e-8
 #: direct form loses ~eps / phi^2 of g to cancellation.
 _SERIES_ANGLE = 0.05
 
-#: Entries per block of the array cores.  A block's temporaries (256 KiB
-#: each) stay in a 2 MiB L2 cache across Newton steps and layers.  On a
-#: 2-core AVX-512 Xeon, over 2M dots in two runs, 32 and 64 Ki entries timed
-#: within noise of each other; 16 Ki was up to 30% slower, 4 Ki 25-35%
-#: slower, and the whole array as one block 1.8-2.2x as slow for the Newton
-#: solve and 1.6-2.1x for a depth-10 recursion.
+#: Entries per block of the array cores and of a dense Gram's walk over its
+#: dots.  A block's temporaries (256 KiB each) stay in a 2 MiB L2 cache
+#: across Newton steps and layers.  On a 2-core AVX-512 Xeon, over 2M dots in
+#: two runs, 32 and 64 Ki entries timed within noise of each other; 16 Ki was
+#: up to 30% slower, 4 Ki 25-35% slower, and the whole array as one block
+#: 1.8-2.2x as slow for the Newton solve and 1.6-2.1x for a depth-10 recursion.
 _BLOCK = 32_768
 
 
@@ -160,9 +160,10 @@ def _blocks(n):
     return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
 
 
-def _map_blocks(solve, dot):
-    """``solve`` over each block of ``dot``'s entries, into one new array."""
-    out = np.empty(dot.shape)
+def _map_blocks(solve, dot, out=None):
+    """``solve`` over each block of ``dot``'s entries, into ``out``: a new
+    array by default, ``dot`` itself for a dense Gram written in place."""
+    out = np.empty(dot.shape) if out is None else out
     flat, view = dot.reshape(-1), out.reshape(-1)
     for lo, hi in _blocks(flat.size):
         view[lo:hi] = solve(flat[lo:hi])

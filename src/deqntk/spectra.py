@@ -122,11 +122,11 @@ def support_endpoints(sigma_w_sq: float) -> tuple[float, float]:
     return ((1.0 - s) ** 3 / upper, upper)
 
 
-def density_table(sigma_w_sq: float, num: int = 1200) -> SpectralDensitySamples:
-    """Tabulate the density on a grid spanning the closed support, where it
-    is 0 at both edges; a one-point support gives a one-point grid."""
+def density_table(sigma_w_sq: float) -> SpectralDensitySamples:
+    """Tabulate the density at 1,200 points spanning the closed support,
+    where it is 0 at both edges; a one-point support gives a one-point grid."""
     l, u = support_endpoints(sigma_w_sq)
-    lam = np.linspace(l, u, num if u > l else 1)
+    lam = np.linspace(l, u, 1200 if u > l else 1)
     grid = np.column_stack([lam, density(lam, sigma_w_sq)])
     return SpectralDensitySamples(sigma_w_sq=sigma_w_sq, support=(l, u), grid=grid)
 

@@ -20,7 +20,7 @@ from deqntk import (
     theta_deq_grid,
     theta_linear_deq,
 )
-from deqntk import conv, gram
+from deqntk import conv, gram, kernel
 from deqntk.conv import cdeq_kernel_pair
 from deqntk.gram import (
     CDEQ_NTK,
@@ -173,6 +173,17 @@ class TestAssembly:
             with pytest.raises(DomainError):
                 kernel_from_dots(dots, DEQ_NTK, p)
 
+    @pytest.mark.parametrize("tag, p, depth", [
+        (DEQ_NTK, KernelParams(1.0, 0.0), None),
+        (DEQ_NTK, KernelParams(1.0, 0.0, activation=LINEAR), None),
+        (FINITE_DEPTH_NTK, P, -1),
+    ], ids=["deq", "linear-deq", "finite-depth"])
+    def test_parameters_checked_without_entries(self, tag, p, depth):
+        # no block is walked, yet a non-contracting sw2 or a negative depth
+        # is still an error
+        with pytest.raises(ValueError):
+            kernel_from_dots(np.empty((0, 3)), tag, p, depth)
+
     def test_cdeq_entries_equal_pair_values(self):
         imgs = unit_images(4, 5, 4, 2, seed=4)
         G = assemble_gram(imgs, CDEQ_NTK, P, filter_size=3).values
@@ -233,6 +244,20 @@ class TestKernelFromDots:
             assert np.array_equal(got, want)
         fell_back = any("on every entry" in r.getMessage() for r in caplog.records)
         assert fell_back == (p.sigma_w_sq == 0.999)
+
+    @pytest.mark.parametrize("p, fit_tol", [
+        (P, FIT_TOL),
+        (KernelParams(0.3, 0.2, sigma_b_sq=0.5, activation=LINEAR), FIT_TOL),
+        (P, 1e-30),
+    ], ids=["fit", "linear-deq", "fallback"])
+    def test_walk_across_block_boundaries(self, p, fit_tol, monkeypatch):
+        # 36 entries in blocks of 16: two full blocks and a partial one, each
+        # overwritten by the evaluator as the one-block call writes it
+        dots = data_dots(n=6)
+        monkeypatch.setattr(gram, "FIT_TOL", fit_tol)
+        want = kernel_from_dots(dots, DEQ_NTK, p)
+        monkeypatch.setattr(kernel, "_BLOCK", 16)
+        assert np.array_equal(kernel_from_dots(dots, DEQ_NTK, p), want)
 
 
 def with_nan(a):
@@ -390,11 +415,13 @@ def traced_peak(f, *args):
 class TestMemory:
     """Peaks at n = 1000 in units of one n x n float64 array, 8 n^2 bytes.
     The self Gram holds one n x n buffer, its dot matrix, which the kernel's
-    values overwrite block by block; the cross Gram holds its n/2 x n dot
-    matrix the same way; the regression holds one shifted copy of K, which
-    LAPACK factors in place."""
+    values overwrite block by block, whether from the fit, the linear closed
+    form or the exact fallback; the cross Gram holds its n/2 x n dot matrix
+    the same way; the regression holds one shifted copy of K, which LAPACK
+    factors in place."""
 
     n = 1000
+    P_LINEAR = KernelParams(0.5, 0.5, activation=LINEAR)
 
     def test_self_gram_peak(self):
         X = unit_rows(self.n, 50, seed=1)
@@ -405,6 +432,29 @@ class TestMemory:
         X = unit_rows(self.n, 50, seed=1)
         peak = traced_peak(cross_gram, X[: self.n // 2], X, DEQ_NTK, P)
         assert peak <= 0.75 * 8 * self.n**2
+
+    def test_linear_self_gram_peak(self):
+        X = unit_rows(self.n, 50, seed=1)
+        peak = traced_peak(assemble_gram, X, DEQ_NTK, self.P_LINEAR)
+        assert peak <= 1.25 * 8 * self.n**2
+
+    def test_linear_cross_gram_peak(self):
+        X = unit_rows(self.n, 50, seed=1)
+        peak = traced_peak(cross_gram, X[: self.n // 2], X, DEQ_NTK, self.P_LINEAR)
+        assert peak <= 0.75 * 8 * self.n**2
+
+    def test_fallback_self_gram_peak(self, caplog):
+        # A near-duplicate sample keeps the fit at sw2 = 0.999 from passing
+        # (7.9e-8 at degree 128): the exact solver runs block by block over
+        # the dot matrix, with at most its Newton temporaries beside it.
+        X = 0.4 + 0.6 * np.random.default_rng(0).random((self.n, 200)) ** 4
+        X[1] = X[0]
+        X[1, 0] += 3e-5
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        with caplog.at_level(logging.WARNING, logger="deqntk"):
+            peak = traced_peak(assemble_gram, X, DEQ_NTK, KernelParams(0.999, 0.001))
+        assert "on every entry" in caplog.records[-1].getMessage()
+        assert peak <= 8 * self.n**2 + 24 * 8 * kernel._BLOCK
 
     def test_regression_peak(self):
         X = unit_rows(self.n, 50, seed=1)

@@ -128,7 +128,7 @@ class TestDensity:
 
 class TestTable:
     def test_cdf_monotone_and_normalized(self):
-        table = density_table(0.5, num=400)
+        table = density_table(0.5)
         assert (table.grid[0, 0], table.grid[-1, 0]) == table.support
         assert table.grid[0, 1] == table.grid[-1, 1] == 0.0
         pts = np.linspace(*table.support, 50)
@@ -138,7 +138,7 @@ class TestTable:
         assert abs(cdf[-1] - 1.0) <= 0.01
 
     def test_csv_round_trip(self, tmp_path):
-        table = density_table(0.25, num=50)
+        table = density_table(0.25)
         path = tmp_path / "density.csv"
         write_density_csv(table, path)
         text = path.read_text().splitlines()
