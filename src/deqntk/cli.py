@@ -351,7 +351,7 @@ def regress(params, dataset, path, n_train, n_test, reg_eps, seed):
     C = cross_gram(ds.features[te], ds.features[tr], DEQ_NTK, params)
     labels, source = ds.labels, ds.source
     del ds  # the samples need not stay resident beside the solve's two Grams
-    acc = regress_and_score(G.values, C, labels[tr], labels[te], reg_eps)
+    acc = regress_and_score(G.values, C, labels[tr], labels[te], reg_eps, _in_place=True)
     click.echo(f"accuracy = {acc:.4f}")
     return {"regress.csv": _csv([{"accuracy": acc}], ["accuracy"])}, {"data": source}
 

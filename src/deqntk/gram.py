@@ -19,7 +19,7 @@ from numpy.polynomial import chebyshev
 
 from .conv import _cdeq_pairs
 from .kernel import (
-    _as_correlation, _blocks, _check_unit, _map_blocks, finite_depth_theta,
+    _BLOCK, _as_correlation, _blocks, _check_unit, _map_blocks, finite_depth_theta,
     theta_deq_grid, theta_linear_deq,
 )
 from .params import LINEAR, KernelParams
@@ -40,6 +40,10 @@ FIT_TOL = 2e-11
 #: Fit degrees tried in turn on one range of angles.
 _FIT_DEGREES = (16, 32, 64, 128)
 
+#: Side of the tiles ``_mirror_lower`` copies, and its diagonal tiles' mask.
+_TILE = 128
+_STRICT_UPPER = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
+
 
 @dataclass(frozen=True)
 class GramMatrix:
@@ -50,16 +54,39 @@ class GramMatrix:
 
 def _dot_matrix(rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     """Inner products of the unit-norm ``rows`` with ``cols``, clipped to
-    [-1, 1]; without ``cols``, the self Gram of ``rows``."""
+    [-1, 1], C-ordered; without ``cols``, the exactly symmetric self Gram of
+    ``rows``.  Both products read the samples in place through scipy's
+    OpenBLAS, the one that factors the regression's Gram: numpy bundles a
+    second one, and each library's idle threads spin on the cores the
+    other's next call needs."""
+    from scipy.linalg.blas import dgemm, dsyrk  # loaded on first use, as in the solve
+
     for x in (rows,) if cols is None else (rows, cols):
         _check_unit(x, "dense kernels require unit-normalized samples")
-    dots = rows @ (rows if cols is None else cols).T
-    np.clip(dots, -1.0, 1.0, out=dots)
-    if cols is None:
-        # The self inner product is 1 by definition, and at the kernel's
-        # square-root cusp there the BLAS product's rounding must not leak.
-        np.fill_diagonal(dots, 1.0)
+    if cols is not None:
+        dots = dgemm(1.0, cols.T, rows.T, trans_a=1).T
+        return np.clip(dots, -1.0, 1.0, out=dots)
+    dots = dsyrk(1.0, rows.T, trans=1).T  # the lower triangle filled
+    _mirror_lower(dots, -1.0, 1.0)
+    # The self inner product is 1 by definition, and at the kernel's
+    # square-root cusp there the BLAS product's rounding must not leak.
+    np.fill_diagonal(dots, 1.0)
     return dots
+
+
+def _mirror_lower(a, lo=-np.inf, hi=np.inf):
+    """Clip the lower triangle of the square ``a``, diagonal included, to
+    [lo, hi] and copy it onto the strict upper one, so ``a`` is exactly
+    symmetric.  It goes tile by tile, each clipped in place just before its
+    transposed copy reads it back from cache."""
+    n = a.shape[0]
+    for i in range(0, n, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(0, i, _TILE):
+            cols = slice(j, j + _TILE)
+            a[cols, rows] = np.clip(a[rows, cols], lo, hi, out=a[rows, cols]).T
+        tile = np.clip(a[rows, rows], lo, hi, out=a[rows, rows])
+        np.copyto(tile, tile.T, where=_STRICT_UPPER[: tile.shape[0], : tile.shape[0]])
 
 
 def kernel_from_dots(
@@ -113,13 +140,14 @@ def _fitted_gram(dots, exact, label, exact_name):
         coef, at_one, err = _angle_fit(exact, lo, hi)
         if err <= FIT_TOL:
             mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+            work = np.empty((4, min(flat.size, _BLOCK)))
 
             def fit(block):
                 one = block >= 1.0
                 np.arccos(block, out=block)
                 block -= mid
                 block /= half
-                values = chebyshev.chebval(block, coef)
+                values = _clenshaw(block, coef, work)
                 np.copyto(values, at_one, where=one)
                 return values
             return fit
@@ -127,6 +155,24 @@ def _fitted_gram(dots, exact, label, exact_name):
                     "relative at degree %d, above %.0e; running %s on every entry",
                     label, lo, hi, err, coef.size - 1, FIT_TOL, exact_name)
     return exact
+
+
+def _clenshaw(x, c, work):
+    """``chebyshev.chebval(x, c)`` bit for bit, for 1-D ``x`` and ``c``: the
+    same recurrence, its arrays the rows of ``work`` (4 x at least x.size),
+    and the sum written over ``x``."""
+    x2, b0, p, q = work[:, : x.size]
+    c0, c1 = (c[0], 0.0) if c.size == 1 else (c[-2], c[-1])
+    if c.size > 2:
+        np.multiply(x, 2.0, out=x2)
+        for ck in c[-3::-1]:
+            t = q if c1 is p else p
+            np.multiply(c1, x2, out=t)
+            t += c0
+            c0, c1 = np.subtract(ck, c1, out=b0), t
+    np.multiply(c1, x, out=x)
+    x += c0
+    return x
 
 
 def _angle_fit(exact, lo, hi):
@@ -178,8 +224,8 @@ def assemble_gram(
     tags, N x P x Q x C unit-pixel images for the convolutional one.
 
     The matrix is exactly symmetric.  A dense tag evaluates every entry of
-    the dot matrix, which one ``syrk`` product makes symmetric, from its own
-    dot alone; the convolutional tag solves the upper triangle, diagonal
+    the dot matrix, one ``syrk`` triangle mirrored onto the other, from its
+    own dot alone; the convolutional tag solves the upper triangle, diagonal
     included, in one call over its pairs in row-major order and mirrors it.
     """
     n = features.shape[0]
@@ -231,6 +277,8 @@ def regress_and_score(
     test_labels,
     reg_eps: float,
     num_classes: int = 10,
+    *,
+    _in_place: bool = False,
 ) -> float:
     """Kernel ridge regression accuracy.
 
@@ -239,32 +287,40 @@ def regress_and_score(
     no regularization or jitter is applied and a singular system is an
     error; with reg_eps > 0 a relative jitter ladder handles marginal
     factorizations, and a step above 0 is logged as a warning.  Only the
-    lower triangle of ``train_gram``, diagonal included, is read.
+    lower triangle of ``train_gram``, diagonal included, is read, and a
+    non-finite entry anywhere in it is an error.
+
+    ``train_gram`` is never written: the solve factors a symmetric copy of
+    it.  ``regress`` and ``depth_sweep``, which discard their C-ordered,
+    exactly symmetric Gram after the call, pass ``_in_place=True``; LAPACK
+    then writes the Cholesky factor over the Gram's lower triangle, and a
+    retry restores it from the strict upper one and the diagonal.
     """
     import scipy.linalg  # loaded on first use: it costs the CLI's start-up ~0.25 s
+    from scipy.linalg.blas import dgemm
 
     if not 0.0 <= reg_eps < np.inf:
         raise ValueError(f"reg_eps={reg_eps} must be a finite number >= 0")
-    K = np.asarray(train_gram, dtype=float)
+    K = train_gram
+    if not _in_place:
+        K = np.array(np.asarray_chkfinite(train_gram, dtype=float), order="C")
+        _mirror_lower(K)
     n = K.shape[0]
+    diag = K.diagonal().copy()
     mean_diag = float(np.trace(K)) / n
     r = reg_eps * mean_diag / n
     Y = encode_labels(train_labels, num_classes)
 
-    def shifted(c):
-        """K + cI as a fresh Fortran copy of K^T, which LAPACK factors in place."""
-        M = np.array(K.T, order="F")
-        M.flat[:: n + 1] += c
-        return M
-
     for jitter in _JITTER_LADDER if reg_eps > 0 else (0.0,):
+        K.flat[:: n + 1] = diag + (r + jitter * mean_diag)
         try:
-            factor = scipy.linalg.cho_factor(shifted(r + jitter * mean_diag),
-                                             overwrite_a=True)
-            alpha = scipy.linalg.cho_solve(factor, Y)
+            # K^T is K's Fortran view: its upper triangle is K's lower one
+            factor = scipy.linalg.cho_factor(K.T, overwrite_a=True)
+            alpha = scipy.linalg.cho_solve(factor, Y, check_finite=False)
             break
         except np.linalg.LinAlgError as exc:
             failure = exc
+            _mirror_lower(K.T)  # K's lower triangle again, from its strict upper one
     else:
         raise np.linalg.LinAlgError(
             f"kernel system singular: Cholesky at ridge {r:.3e} plus jitter "
@@ -272,7 +328,8 @@ def regress_and_score(
         )
     if jitter > 0.0:
         log.warning("kernel system factorized with jitter %.0e x mean diagonal", jitter)
-    predictions = np.argmax(np.asarray(cross) @ alpha, axis=1)
+    predictions = np.argmax(dgemm(1.0, np.asarray(cross, dtype=float).T, alpha, trans_a=1),
+                            axis=1)
     test_labels = np.asarray(test_labels, dtype=int)
     return float(np.mean(predictions == test_labels))
 
@@ -314,8 +371,8 @@ def depth_sweep(
         for tag, params in ((FINITE_DEPTH_NTK, params_deq), (VANILLA_NTK, params_vanilla)):
             for d in depths:
                 values = kernel_from_dots(dots, tag, params, d)
-                acc = regress_and_score(values[:n_train], values[n_train:],
-                                        labels[tr], labels[te], reg_eps, num_classes)
+                acc = regress_and_score(values[:n_train], values[n_train:], labels[tr],
+                                        labels[te], reg_eps, num_classes, _in_place=True)
                 rows.append(
                     {"kernel": tag, "depth": int(d), "rep": rep, "accuracy": acc}
                 )

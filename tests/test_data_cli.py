@@ -383,9 +383,9 @@ class TestCli:
             features.append(weakref.ref(ds.features))
             return ds
 
-        def released_then_solve(*args):
+        def released_then_solve(*args, **kwargs):
             assert features[0]() is None, "the samples are still resident"
-            return solve(*args)
+            return solve(*args, **kwargs)
 
         monkeypatch.setattr(cli, "load_mnist", load)
         monkeypatch.setattr(cli, "regress_and_score", released_then_solve)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
@@ -214,6 +215,45 @@ class TestAssembly:
         assert "after 30 iterations" in msg and "first is images (0, 1)" in msg
 
 
+class TestDotMatrix:
+    """The dot matrices come from scipy's BLAS: the self one from a ``syrk``
+    triangle mirrored tile by tile, the cross one from one ``gemm``."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [1, 2, gram._TILE - 1, gram._TILE, gram._TILE + 1, 300])
+    def test_self_dots(self, n):
+        X = unit_rows(n, 37, seed=n)
+        before = X.copy()
+        dots = gram._dot_matrix(X)
+        assert dots.shape == (n, n) and dots.flags.c_contiguous
+        assert np.array_equal(dots, dots.T)
+        assert np.all(np.diag(dots) == 1.0)
+        want = np.clip(X @ X.T, -1.0, 1.0)
+        np.fill_diagonal(want, 1.0)
+        assert np.max(np.abs(dots - want)) <= 4 * self.EPS
+        assert np.array_equal(X, before)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 37), (257, 300)])
+    def test_cross_dots(self, shape):
+        rows, cols = unit_rows(shape[0], 20, seed=1), unit_rows(shape[1], 20, seed=2)
+        before = rows.copy(), cols.copy()
+        dots = gram._dot_matrix(rows, cols)
+        assert dots.shape == shape and dots.flags.c_contiguous
+        assert np.max(np.abs(dots - np.clip(rows @ cols.T, -1.0, 1.0))) <= 4 * self.EPS
+        assert np.array_equal(rows, before[0]) and np.array_equal(cols, before[1])
+
+    @pytest.mark.parametrize("n", [1, gram._TILE, gram._TILE + 1, 300])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_mirror_copies_the_lower_triangle(self, n, order):
+        a = np.array(np.random.default_rng(n).uniform(-2.0, 2.0, (n, n)), order=order)
+        want = np.tril(a) + np.tril(a, -1).T
+        gram._mirror_lower(a)
+        assert np.array_equal(a, want)
+        gram._mirror_lower(a, -1.0, 1.0)
+        assert np.array_equal(a, np.clip(want, -1.0, 1.0))
+
+
 class TestKernelFromDots:
     """``kernel_from_dots`` returns a new array and never writes its
     argument, which callers read again; dots within ``BOUNDARY_SLACK``
@@ -401,6 +441,55 @@ class TestRegression:
         alpha = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M), encode_labels(labels, 10))
         assert acc == np.mean(np.argmax(cross @ alpha, axis=1) == test_labels)
 
+    def test_retry_after_in_place_failure_matches_the_copy(self, monkeypatch):
+        # jitter 0 fails on two constant blocks, after the factor has
+        # overwritten the first column: the in-place retry restores the Gram
+        # from its strict upper triangle and diagonal first
+        K = 4.0 * np.kron(np.eye(2), np.ones((5, 5)))
+        labels = np.arange(10) % 10
+        rng = np.random.default_rng(1)
+        cross, test_labels = rng.standard_normal((40, 10)), rng.integers(0, 10, 40)
+        alphas, cho_solve = [], scipy.linalg.cho_solve
+        monkeypatch.setattr(scipy.linalg, "cho_solve",
+                            lambda *args, **kw: alphas.append(cho_solve(*args, **kw)) or alphas[-1])
+        copied = regress_and_score(K, cross, labels, test_labels, 1e-30)
+        owned = K.copy()
+        in_place = regress_and_score(owned, cross, labels, test_labels, 1e-30, _in_place=True)
+        # the copy path restores from its own mirror of the lower triangle
+        junk = K + np.triu(rng.uniform(-5.0, 5.0, (10, 10)), 1)
+        assert regress_and_score(junk, cross, labels, test_labels, 1e-30) == in_place == copied
+        M = K + (1e-30 * 4.0 / 10 + 1e-10 * 4.0) * np.eye(10)
+        alpha = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M), encode_labels(labels, 10))
+        assert len(alphas) == 4 and all(np.array_equal(a, alpha) for a in alphas[:3])
+        # the factor is in the lower triangle; the strict upper one is intact
+        upper = np.triu_indices(10, 1)
+        assert np.array_equal(owned[upper], K[upper])
+        assert np.array_equal(np.tril(owned), np.triu(scipy.linalg.cho_factor(M)[0]).T)
+
+    def test_argument_unchanged(self):
+        # the public path solves on its own copy, retries included; the
+        # argument may be Fortran-ordered and hold junk above the diagonal
+        X = unit_rows(30, 15, seed=9)
+        labels = np.arange(30) % 10
+        G = assemble_gram(X, DEQ_NTK, P).values
+        junk = np.array(G, order="F")
+        junk[np.triu_indices(30, 1)] = np.random.default_rng(2).uniform(-5.0, 5.0, 435)
+        K = np.kron(np.eye(2), np.ones((5, 5)))
+        for arg, reg_eps in ((G, 1e-4), (junk, 1e-4), (K, 1e-30)):
+            before = arg.copy(order="A")
+            regress_and_score(arg, arg[:7], np.arange(len(arg)) % 10, labels[:7], reg_eps)
+            assert np.array_equal(arg, before) and arg.flags.f_contiguous == before.flags.f_contiguous
+
+    @pytest.mark.parametrize("where", [(3, 1), (1, 3), (2, 2)], ids=["lower", "upper", "diagonal"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("in_place", [False, True], ids=["copy", "in-place"])
+    def test_non_finite_gram_rejected(self, where, value, in_place):
+        K = assemble_gram(unit_rows(8, 6, seed=3), DEQ_NTK, P).values
+        K[where] = value
+        labels = np.arange(8) % 10
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            regress_and_score(K, K, labels, labels, 1e-4, _in_place=in_place)
+
 
 def traced_peak(f, *args):
     """Peak traced allocation of ``f(*args)`` in bytes."""
@@ -417,8 +506,9 @@ class TestMemory:
     The self Gram holds one n x n buffer, its dot matrix, which the kernel's
     values overwrite block by block, whether from the fit, the linear closed
     form or the exact fallback; the cross Gram holds its n/2 x n dot matrix
-    the same way; the regression holds one shifted copy of K, which LAPACK
-    factors in place."""
+    the same way.  The regression holds one symmetric copy of K, which
+    LAPACK factors in place; given an owned Gram, it factors that in place
+    and holds only the finite check's n x n bools, 0.125 of the unit."""
 
     n = 1000
     P_LINEAR = KernelParams(0.5, 0.5, activation=LINEAR)
@@ -463,6 +553,15 @@ class TestMemory:
         labels = np.arange(self.n) % 10
         peak = traced_peak(regress_and_score, G, cross, labels, labels[:100], 1e-4)
         assert peak <= 1.6 * 8 * self.n**2
+
+    def test_in_place_regression_peak(self):
+        X = unit_rows(self.n, 50, seed=1)
+        G = assemble_gram(X, DEQ_NTK, P).values
+        cross = G[:100].copy()
+        labels = np.arange(self.n) % 10
+        peak = traced_peak(functools.partial(regress_and_score, _in_place=True),
+                           G, cross, labels, labels[:100], 1e-4)
+        assert peak <= 0.25 * 8 * self.n**2
 
 
 def data_dots(n=50, m=200, seed=0):
@@ -644,17 +743,28 @@ class TestFiniteDepthFit:
 
     @staticmethod
     def record_lengths(monkeypatch):
-        """Record len(coef) of every Chebyshev evaluation: the fit's checks,
-        then its blocks of entries."""
+        """Record len(coef) of every Chebyshev evaluation: the fit's checks
+        (``chebval``), then its blocks of entries (``_clenshaw``)."""
         lengths = []
-        chebval = gram.chebyshev.chebval
 
-        def counted(x, coef, *args, **kwargs):
-            lengths.append(len(coef))
-            return chebval(x, coef, *args, **kwargs)
+        def counted(evaluate):
+            def call(x, coef, *args, **kwargs):
+                lengths.append(len(coef))
+                return evaluate(x, coef, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(gram.chebyshev, "chebval", counted)
+        monkeypatch.setattr(gram.chebyshev, "chebval", counted(gram.chebyshev.chebval))
+        monkeypatch.setattr(gram, "_clenshaw", counted(gram._clenshaw))
         return lengths
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 10])
+    def test_clenshaw_is_chebval(self, length):
+        rng = np.random.default_rng(length)
+        c = rng.standard_normal(length)
+        x = np.concatenate([rng.uniform(-1.0, 1.0, 1000), [-1.0, -0.0, 0.0, 1.0]])
+        work = np.empty((4, x.size))
+        got = gram._clenshaw(x.copy(), c, work)
+        assert np.array_equal(got.view(np.int64), chebyshev.chebval(x, c).view(np.int64))
 
     def test_chop_keeps_the_constant_term(self):
         assert gram._chop(np.array([2.0, 1e-3, 1e-17, -1e-17]), 5e-17).tolist() == [2.0, 1e-3]
